@@ -685,10 +685,6 @@ def mk_names(sig: tuple[Hashable, ...]) -> Arena:
     return Names(tuple(sig))
 
 
-def mk_lift(inner: Arena) -> Arena:
-    return Lift(inner)
-
-
 def mk_merge(src: Arena, tgt: Arena) -> Arena:
     """src ⊸⊗ tgt with the constructor identities applied."""
     if isinstance(tgt, (One, NatArena, Names, Zero)):
@@ -708,7 +704,7 @@ def mk_merge(src: Arena, tgt: Arena) -> Arena:
 
 def mk_imp(src: Arena, tgt: Arena) -> Arena:
     """src => tgt  (arrow: src ⊸⊗ tgt_⊥)."""
-    return mk_merge(src, mk_lift(tgt))
+    return mk_merge(src, Lift(tgt))
 
 
 # ---------------------------------------------------------------------------

@@ -237,30 +237,6 @@ def eq_strategy(fam: Type) -> Strategy:
     return EqStrat(Tensor(g, g))
 
 
-def store_monad(kind: str, k: int, a: Arena, b: Optional[Arena] = None) -> Strategy:
-    """Dispatcher over the monad structure at depth k."""
-    table = {
-        "eta": lambda: eta(a, k),
-        "mu": lambda: mu(a, k),
-        "tau": lambda: tau(a, b, k),
-        "tau'": lambda: tau_prime(a, b, k),
-        "psi": lambda: psi(a, b, k),
-        "psi'": lambda: psi_prime(a, b, k),
-        "alpha": lambda: alpha(a, k),
-    }
-    return table[kind]()
-
-
-def ref_strategy(kind: str, c: Type, k: int, sig: tuple = ()) -> Strategy:
-    if kind == "drf":
-        return drf(c, k)
-    if kind == "upd":
-        return upd(c, k)
-    if kind == "nu":
-        return nu_strategy(sig, c, One(), k)
-    raise ValueError(kind)
-
-
 # ---------------------------------------------------------------------------
 # The denotational translation
 # ---------------------------------------------------------------------------
@@ -271,17 +247,6 @@ class DepthPolicy:
     @staticmethod
     def depth_for(ty: Type) -> int:
         return S.type_order(ty) + 2
-
-
-@dataclass(frozen=True)
-class DenotationRequest:
-    names: NameList
-    gamma: tuple[Type, ...]
-    term: S.Term
-    depth: int
-    budgets: Optional[Budget] = None
-
-    _atomless_ = False
 
 
 _DEN_CACHE: dict = {}

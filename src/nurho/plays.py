@@ -136,10 +136,6 @@ class Play:
         return "\n".join(lines)
 
 
-def last_index(p: Play) -> int:
-    return len(p.entries) - 1
-
-
 # ---------------------------------------------------------------------------
 # Views
 # ---------------------------------------------------------------------------
@@ -185,11 +181,6 @@ def pview(p: Play) -> Play:
 
 def oview(p: Play) -> Play:
     return extract(p, view_indices(p, player=False))
-
-
-def pview_with_origins(p: Play) -> tuple[Play, list[int]]:
-    idx = view_indices(p, player=True)
-    return extract(p, idx), idx
 
 
 # ---------------------------------------------------------------------------

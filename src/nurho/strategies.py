@@ -10,9 +10,9 @@ Three kinds of strategies cover everything downstream:
 * machines: a small prelude automaton plus *copycat zones*, the uniform
   mechanism behind identities, projections, the lifting monad pieces and
   the reference primitives;
-* view transformers: combinators (pairing, tensor, lifting, currying)
-  that re-address the view, delegate to inner strategies and re-address
-  the answer;
+* view transformers: combinators (pairing, tensor, lifting, currying,
+  head separation) on one engine that renames the view zone by zone into
+  an inner strategy's view and the inner answer back;
 * chains: composites evaluated by replaying the view through an n-ary
   parallel interaction of the component strategies.
 """
@@ -52,7 +52,7 @@ from .nominal import (
     fresh_atom,
     support,
 )
-from .plays import Board, Entry, Play, SRC, TGT, pview, pview_with_origins, view_indices
+from .plays import Board, Entry, Play, SRC, TGT, pview, view_indices
 
 
 @dataclass(frozen=True)
@@ -209,23 +209,25 @@ class MachineStrategy(Strategy):
         if out is not None:
             return out
         x = prefix.entries[i]
-        j = x.justifier
-        if j is None:
+        if x.justifier is None:
             return NO_RESPONSE
-        best: Optional[Zone] = None
-        for z in links.get(j, ()):
-            if x.comp == z.own_comp and x.move.addr[: len(z.own_prefix)] == z.own_prefix:
-                if best is None or len(z.own_prefix) > len(best.own_prefix):
-                    best = z
-        if best is None:
-            return NO_RESPONSE
-        moved = Move(
-            best.tgt_prefix + x.move.addr[len(best.own_prefix):], x.move.pay
-        )
-        if not self.board.arena(best.tgt_comp).has_move(moved):
-            return NO_RESPONSE
-        r = Response(best.tgt_comp, moved, best.tgt_idx)
-        return r, [best.flip(i)]
+        return mirror(self.board, x, i, links.get(x.justifier, ())) or NO_RESPONSE
+
+
+def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
+    """Copy the O-move x at index i through the longest zone holding it:
+    (response, [the zone flipped back to x]), or None."""
+    best: Optional[Zone] = None
+    for z in zones:
+        if x.comp == z.own_comp and x.move.addr[: len(z.own_prefix)] == z.own_prefix:
+            if best is None or len(z.own_prefix) > len(best.own_prefix):
+                best = z
+    if best is None:
+        return None
+    moved = Move(best.tgt_prefix + x.move.addr[len(best.own_prefix):], x.move.pay)
+    if not board.arena(best.tgt_comp).has_move(moved):
+        return None
+    return Response(best.tgt_comp, moved, best.tgt_idx), [best.flip(i)]
 
 
 class Copycat(MachineStrategy):
@@ -649,143 +651,158 @@ class CndStrategy(MachineStrategy):
 
 
 # ---------------------------------------------------------------------------
-# View transformers
+# View transformers: one zone-table engine
 # ---------------------------------------------------------------------------
 
-class TransformStrategy(Strategy):
-    """Delegate to an inner strategy through a view translation."""
+@dataclass(frozen=True)
+class TZone:
+    """Outer moves in (o_comp, o_prefix·rest) are inner moves in
+    (i_comp, i_prefix·rest).  A justifier listed in `anchors` as a pair
+    (outer_j, inner_j) maps to its partner; every other one shifts."""
 
-    def inner_for(self, view: Play):
-        """Return (inner strategy, translated view, back map) where back
-        maps the inner Response to an outer one."""
+    o_comp: str
+    o_prefix: tuple
+    i_comp: str
+    i_prefix: tuple
+    anchors: tuple = ()
+
+    def inverse(self) -> "TZone":
+        back = tuple((ij, oj) for oj, ij in self.anchors)
+        return TZone(self.i_comp, self.i_prefix, self.o_comp, self.o_prefix, back)
+
+
+class ZoneTable:
+    """Zones sorted once by prefix length, longest first, in each direction.
+    Where inner prefixes coincide, the zone listed first wins backwards."""
+
+    def __init__(self, *zones: TZone):
+        self._fwd = sorted(zones, key=lambda z: -len(z.o_prefix))
+        self._bwd = sorted((z.inverse() for z in zones), key=lambda z: -len(z.o_prefix))
+
+    def fwd(self, e: Entry, shift: int) -> Entry:
+        """An outer entry as an inner one; `shift` is inner minus outer index."""
+        return _relabel(self._fwd, e, shift)
+
+    def bwd(self, r: Response, shift: int) -> Response:
+        """An inner response (or entry) as an outer one."""
+        return _relabel(self._bwd, r, -shift)
+
+
+def _relabel(zones: list[TZone], x, shift: int):
+    for z in zones:
+        n = len(z.o_prefix)
+        if x.comp == z.o_comp and x.move.addr[:n] == z.o_prefix:
+            j = x.justifier
+            for oj, ij in z.anchors:
+                if j == oj:
+                    j = ij
+                    break
+            else:
+                j += shift
+            move = x.move  # kept when the address stays: its atoms are cached
+            if z.i_prefix != z.o_prefix:
+                move = Move(z.i_prefix + move.addr[n:], move.pay)
+            return type(x)(z.i_comp, move, j, x.delta)
+    raise OracleError(f"no zone holds {x}")
+
+
+class ZonedTransform(Strategy):
+    """Delegate to an inner strategy through a zone table.
+
+    Views shorter than `start` go to `head`.  For the others `prefix`
+    returns the inner strategy, the inner entries replacing the outer
+    entries [0, start), and the table renaming every later entry; the
+    inner response comes back through the same table."""
+
+    start = 1
+
+    def head(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
 
-    def initial_response(self, view: Play) -> Optional[Response]:
+    def prefix(self, view: Play):
+        """(inner strategy, inner prefix entries, ZoneTable), or None."""
         raise NotImplementedError
 
     def respond_raw(self, view: Play) -> Optional[Response]:
-        if len(view) == 1:
-            return self.initial_response(view)
-        inner, iview, back = self.inner_for(view)
-        r = inner.respond(iview)
-        if r is None:
+        if len(view) < self.start:
+            return self.head(view)
+        out = self.prefix(view)
+        if out is None:
             return None
-        return back(r)
+        inner, entries, table = out
+        shift = len(entries) - self.start
+        rest = (table.fwd(e, shift) for e in view.entries[self.start:])
+        r = inner.respond(Play(inner.board, (*entries, *rest)))
+        return None if r is None else table.bwd(r, shift)
 
 
-def translate_entries(view, start, comp_map, just_map):
-    """Helper: map entries from `start` on, preserving positions."""
-    out = []
-    for idx in range(start, len(view.entries)):
-        e = view.entries[idx]
-        comp, move = comp_map(e.comp, e.move)
-        out.append(Entry(comp, move, just_map(e.justifier, e), e.delta))
-    return out
+class Pairing(ZonedTransform):
+    """<f, g> : c -> a ⊗ b.  After the paired initial answer, the view's
+    3rd move fixes the thread: side 'l' runs in f, 'r' in g."""
 
-
-class Pairing(TransformStrategy):
-    """<f, g> : c -> a ⊗ b."""
+    start = 2
+    TABLES = {
+        side: ZoneTable(TZone(SRC, (), SRC, ()), TZone(TGT, (side,), TGT, ()))
+        for side in "lr"
+    }
 
     def __init__(self, f: Strategy, g: Strategy):
         assert f.board.src == g.board.src, "pairing needs a common source"
-        board = Board(f.board.src, Tensor(f.board.tgt, g.board.tgt))
-        super().__init__(board, f"<{f.name},{g.name}>")
+        self._setup(f, g, f.board.src, f"<{f.name},{g.name}>")
+
+    def _setup(self, f, g, src, name):
+        super().__init__(Board(src, Tensor(f.board.tgt, g.board.tgt)), name)
         self.f, self.g = f, g
 
-    def initial_response(self, view):
-        inits = view.entries[:1]
-        rf = self.f.respond(Play(self.f.board, inits))
+    def inits(self, view) -> tuple:
+        """The initial views of f and g."""
+        return (view.entries[:1],) * 2
+
+    def head(self, view):
+        fv, gv = self.inits(view)
+        rf = self.f.respond(Play(self.f.board, fv))
         if rf is None:
             return None
-        rg = self.g.respond(Play(self.g.board, inits))
+        rg = self.g.respond(Play(self.g.board, gv))
         if rg is None:
             return None
         rg = _freshen(rg, set(support(view)) | set(atoms_of(rf)) | set(rf.delta))
         pay = (PAIR, rf.move.pay, rg.move.pay)
         return Response(TGT, Move((), pay), 0, tuple(rf.delta) + tuple(rg.delta))
 
-    def inner_for(self, view):
-        side = view.entries[2].move.addr[0]  # thread fixed by the 3rd move
-        inner = self.f if side == "l" else self.g
-        other = self.g if side == "l" else self.f
-        r_own = inner.respond(Play(inner.board, view.entries[:1]))
-
-        def comp_map(comp, move):
-            if comp == SRC:
-                return comp, move
-            assert move.addr[:1] == (side,), f"thread broken at {move}"
-            return TGT, Move(move.addr[1:], move.pay)
-
-        def just_map(j, e):
-            return j
-
-        entries = [view.entries[0]]
-        entries.append(Entry(TGT, r_own.move, 0, r_own.delta))
-        entries += translate_entries(view, 2, comp_map, just_map)
-        iview = Play(inner.board, tuple(entries))
-
-        def back(r: Response) -> Response:
-            if r.comp == SRC:
-                return r
-            return Response(TGT, Move((side,) + r.move.addr, r.move.pay), r.justifier, r.delta)
-
-        return inner, iview, back
-
-
-class TensorOf(TransformStrategy):
-    """f ⊗ g : a ⊗ b -> a' ⊗ b'."""
-
-    def __init__(self, f: Strategy, g: Strategy):
-        board = Board(
-            Tensor(f.board.src, g.board.src), Tensor(f.board.tgt, g.board.tgt)
-        )
-        super().__init__(board, f"({f.name}⊗{g.name})")
-        self.f, self.g = f, g
-
-    def _component_views(self, view):
-        p = view.entries[0].move.pay
-        fv = Play(self.f.board, (Entry(SRC, Move((), p[1]), None, ()),))
-        gv = Play(self.g.board, (Entry(SRC, Move((), p[2]), None, ()),))
-        return fv, gv
-
-    def initial_response(self, view):
-        fv, gv = self._component_views(view)
-        rf = self.f.respond(fv)
-        if rf is None:
-            return None
-        rg = self.g.respond(gv)
-        if rg is None:
-            return None
-        rg = _freshen(rg, set(support(view)) | set(atoms_of(rf)) | set(rf.delta))
-        pay = (PAIR, rf.move.pay, rg.move.pay)
-        return Response(TGT, Move((), pay), 0, tuple(rf.delta) + tuple(rg.delta))
-
-    def inner_for(self, view):
+    def prefix(self, view):
         side = view.entries[2].move.addr[0]
         inner = self.f if side == "l" else self.g
-        fv, gv = self._component_views(view)
-        own0 = fv if side == "l" else gv
-        r_own = inner.respond(own0)
-
-        def comp_map(comp, move):
-            assert move.addr[:1] == (side,), f"thread broken at {move}"
-            return comp, Move(move.addr[1:], move.pay)
-
-        entries = list(own0.entries)
-        entries.append(Entry(TGT, r_own.move, 0, r_own.delta))
-        entries += translate_entries(view, 2, comp_map, lambda j, e: j)
-        iview = Play(inner.board, tuple(entries))
-
-        def back(r: Response) -> Response:
-            return Response(
-                r.comp, Move((side,) + r.move.addr, r.move.pay), r.justifier, r.delta
-            )
-
-        return inner, iview, back
+        init = self.inits(view)[side == "r"]
+        r = inner.respond(Play(inner.board, init))
+        return inner, init + (Entry(TGT, r.move, 0, r.delta),), self.TABLES[side]
 
 
-class LiftF(TransformStrategy):
+class TensorOf(Pairing):
+    """f ⊗ g : a ⊗ b -> a' ⊗ b', threaded like <π_l;f, π_r;g>."""
+
+    TABLES = {
+        side: ZoneTable(TZone(SRC, (side,), SRC, ()), TZone(TGT, (side,), TGT, ()))
+        for side in "lr"
+    }
+
+    def __init__(self, f: Strategy, g: Strategy):
+        src = Tensor(f.board.src, g.board.src)
+        self._setup(f, g, src, f"({f.name}⊗{g.name})")
+
+    def inits(self, view) -> tuple:
+        pay = view.entries[0].move.pay
+        return tuple((Entry(SRC, Move((), p), None, ()),) for p in pay[1:])
+
+
+class LiftF(ZonedTransform):
     """f_⊥ : lift(a) -> lift(a'):  four stars, then behave like f."""
+
+    start = 4
+    TABLE = ZoneTable(
+        TZone(SRC, ("a",), SRC, (), ((3, None),)),
+        TZone(TGT, ("a",), TGT, (), ((2, 0),)),
+    )
 
     def __init__(self, f: Strategy):
         super().__init__(
@@ -793,35 +810,13 @@ class LiftF(TransformStrategy):
         )
         self.f = f
 
-    def respond_raw(self, view):
-        n = len(view)
-        if n == 1:
+    def head(self, view):
+        if len(view) == 1:
             return Response(TGT, Move((), STAR1), 0)
-        if n == 3:
-            return Response(SRC, Move(("u",), STAR2), 0)
-        inner_entries = []
-        for idx in range(4, n):
-            e = view.entries[idx]
-            move = Move(e.move.addr[1:], e.move.pay)
-            j = e.justifier
-            if j == 3:
-                j = None
-            elif j == 2:
-                j = 0  # target-initial anchor
-            else:
-                j = j - 4
-            inner_entries.append(Entry(e.comp, move, j, e.delta))
-        iview = Play(self.f.board, tuple(inner_entries))
-        r = self.f.respond(iview)
-        if r is None:
-            return None
-        if r.comp == TGT and r.move.addr == () and r.justifier == 0:
-            just = 2
-        elif r.justifier == 0:
-            just = 4
-        else:
-            just = r.justifier + 4
-        return Response(r.comp, Move(("a",) + r.move.addr, r.move.pay), just, r.delta)
+        return Response(SRC, Move(("u",), STAR2), 0)
+
+    def prefix(self, view):
+        return self.f, (), self.TABLE
 
 
 def _imp_parts(c: Arena):
@@ -833,8 +828,28 @@ def _imp_parts(c: Arena):
     raise ValueError(f"currying needs a lifted or arrow-shaped target, got {c}")
 
 
-class LambdaC(TransformStrategy):
+def _curry_zones(with_store: bool) -> tuple:
+    """Λ's zones from x and (b [⊗ s] => z) to f's x ⊗ b and c; Λ⁻¹ reads
+    them backwards."""
+    if with_store:
+        rest = (
+            TZone(TGT, ("a", "l"), SRC, ("r",), ((2, 0),)),
+            TZone(TGT, ("a", "r"), TGT, ("a",)),
+            TZone(TGT, ("b",), TGT, ("b",)),
+        )
+    else:
+        rest = (
+            TZone(TGT, ("a",), SRC, ("r",), ((2, 0),)),
+            TZone(TGT, ("b",), TGT, ("a",)),
+        )
+    return (TZone(SRC, (), SRC, ("l",)),) + rest
+
+
+class LambdaC(ZonedTransform):
     """Λ(f) : x -> (b => z-ish)  from  f : x ⊗ b -> c."""
+
+    start = 3
+    TABLES = {ws: ZoneTable(*_curry_zones(ws)) for ws in (False, True)}
 
     def __init__(self, f: Strategy):
         src = f.board.src
@@ -846,75 +861,36 @@ class LambdaC(TransformStrategy):
         self.f = f
         self.with_store = s is not None
 
-    def initial_response(self, view):
+    def head(self, view):
         return Response(TGT, Move((), STAR), 0)
 
-    def inner_for(self, view):
+    def prefix(self, view):
         merged = view.entries[2].move
         assert merged.addr == ("j",), f"expected a merged move, got {merged}"
+        delta = view.entries[1].delta
         if self.with_store:
             pb, ps = merged.pay[1][1], merged.pay[1][2]
+            opened = (
+                Entry(TGT, Move((), STAR), 0, delta),
+                Entry(TGT, Move(("j",), (MERGE, ps)), 1, ()),
+            )
         else:
-            pb, ps = merged.pay[1], None
-        p0 = view.entries[0].move.pay
-        entries = [Entry(SRC, Move((), (PAIR, p0, pb)), None, ())]
-        if self.with_store:
-            entries.append(Entry(TGT, Move((), STAR), 0, view.entries[1].delta))
-            entries.append(Entry(TGT, Move(("j",), (MERGE, ps)), 1, ()))
-        else:
-            entries.append(Entry(TGT, Move((), STAR1), 0, view.entries[1].delta))
-            entries.append(Entry(TGT, Move(("u",), STAR2), 1, ()))
-
-        def comp_map(comp, move):
-            if comp == SRC:
-                return SRC, Move(("l",) + move.addr, move.pay)
-            if move.addr[:2] == ("a", "l") and self.with_store:
-                return SRC, Move(("r",) + move.addr[2:], move.pay)
-            if move.addr[:1] == ("a",) and not self.with_store:
-                return SRC, Move(("r",) + move.addr[1:], move.pay)
-            if move.addr[:2] == ("a", "r") and self.with_store:
-                return TGT, Move(("a",) + move.addr[2:], move.pay)
-            if move.addr[:1] == ("b",):
-                if self.with_store:
-                    return TGT, move
-                return TGT, Move(("a",) + move.addr[1:], move.pay)
-            raise OracleError(f"Λ: unplaceable move {move}")
-
-        def just_map(j, e):
-            if j == 2 and e.comp == TGT and e.move.addr[:2] == ("a", "l"):
-                return 0
-            if j == 2 and e.move.addr[:1] == ("a",) and not self.with_store:
-                return 0
-            return j
-
-        entries += translate_entries(view, 3, comp_map, just_map)
-        iview = Play(self.f.board, tuple(entries))
-
-        def back(r: Response) -> Response:
-            comp, move, j = r.comp, r.move, r.justifier
-            if comp == SRC and move.addr[:1] == ("l",):
-                return Response(SRC, Move(move.addr[1:], move.pay), j, r.delta)
-            if comp == SRC and move.addr[:1] == ("r",):
-                new_addr = (("a", "l") if self.with_store else ("a",)) + move.addr[1:]
-                return Response(TGT, Move(new_addr, move.pay), 2 if j == 0 else j, r.delta)
-            if comp == TGT and move.addr[:1] == ("a",):
-                if self.with_store:
-                    return Response(
-                        TGT, Move(("a", "r") + move.addr[1:], move.pay),
-                        j, r.delta,
-                    )
-                return Response(
-                    TGT, Move(("b",) + move.addr[1:], move.pay), j, r.delta
-                )
-            if comp == TGT and move.addr[:1] == ("b",) and self.with_store:
-                return Response(TGT, move, j, r.delta)
-            raise OracleError(f"Λ: unplaceable response {r}")
-
-        return self.f, iview, back
+            pb = merged.pay[1]
+            opened = (
+                Entry(TGT, Move((), STAR1), 0, delta),
+                Entry(TGT, Move(("u",), STAR2), 1, ()),
+            )
+        init = Entry(SRC, Move((), (PAIR, view.entries[0].move.pay, pb)), None, ())
+        return self.f, (init, *opened), self.TABLES[self.with_store]
 
 
-class LambdaInv(TransformStrategy):
+class LambdaInv(ZonedTransform):
     """Λ⁻¹(g) : x ⊗ b -> c  from  g : x -> (b => z-ish)."""
+
+    start = 3
+    TABLES = {
+        ws: ZoneTable(*(z.inverse() for z in _curry_zones(ws))) for ws in (False, True)
+    }
 
     def __init__(self, g: Strategy, c: Arena):
         tgt = g.board.tgt
@@ -929,83 +905,29 @@ class LambdaInv(TransformStrategy):
         self.g = g
         self.with_store = s is not None
 
-    def initial_response(self, view):
-        r = self.g.respond(
-            Play(
-                self.g.board,
-                (Entry(SRC, Move((), view.entries[0].move.pay[1]), None, ()),),
-            )
-        )
+    @staticmethod
+    def _x_view(view) -> tuple:
+        return (Entry(SRC, Move((), view.entries[0].move.pay[1]), None, ()),)
+
+    def head(self, view):
+        r = self.g.respond(Play(self.g.board, self._x_view(view)))
         if r is None:
             return None
         pt = STAR1 if not self.with_store else STAR
         return Response(TGT, Move((), pt), 0, r.delta)
 
-    def inner_for(self, view):
-        p0 = view.entries[0].move.pay
-        px, pb = p0[1], p0[2]
+    def prefix(self, view):
+        pb = view.entries[0].move.pay[2]
         lvl1 = view.entries[2].move
-        entries = [Entry(SRC, Move((), px), None, ())]
-        entries.append(Entry(TGT, Move((), STAR), 0, view.entries[1].delta))
         if self.with_store:
             assert lvl1.addr == ("j",)
-            ps = lvl1.pay[1]
-            entries.append(
-                Entry(TGT, Move(("j",), (MERGE, (PAIR, pb, ps))), 1, ())
-            )
+            pb = (PAIR, pb, lvl1.pay[1])
         else:
             assert lvl1.addr == ("u",)
-            entries.append(Entry(TGT, Move(("j",), (MERGE, pb)), 1, ()))
-
-        def comp_map(comp, move):
-            if comp == SRC and move.addr[:1] == ("l",):
-                return SRC, Move(move.addr[1:], move.pay)
-            if comp == SRC and move.addr[:1] == ("r",):
-                new_addr = (("a", "l") if self.with_store else ("a",)) + move.addr[1:]
-                return TGT, Move(new_addr, move.pay)
-            if comp == TGT and move.addr[:1] == ("a",):
-                if self.with_store:
-                    return TGT, Move(("a", "r") + move.addr[1:], move.pay)
-                return TGT, Move(("b",) + move.addr[1:], move.pay)
-            if comp == TGT and move.addr[:1] == ("b",) and self.with_store:
-                return TGT, move
-            raise OracleError(f"Λ⁻¹: unplaceable move {move}")
-
-        def just_map(j, e):
-            if j == 0 and e.comp == SRC and e.move.addr[:1] == ("r",):
-                return 2
-            if j == 2 and e.comp == TGT and e.move.addr[:1] == ("a",) and self.with_store:
-                return 2
-            return j
-
-        entries += translate_entries(view, 3, comp_map, just_map)
-        iview = Play(self.g.board, tuple(entries))
-
-        def back(r: Response) -> Response:
-            comp, move, j = r.comp, r.move, r.justifier
-            if comp == SRC:
-                return Response(SRC, Move(("l",) + move.addr, move.pay), j, r.delta)
-            if self.with_store and move.addr[:2] == ("a", "l"):
-                return Response(
-                    SRC, Move(("r",) + move.addr[2:], move.pay),
-                    0 if j == 2 else j, r.delta,
-                )
-            if not self.with_store and move.addr[:1] == ("a",):
-                return Response(
-                    SRC, Move(("r",) + move.addr[1:], move.pay),
-                    0 if j == 2 else j, r.delta,
-                )
-            if self.with_store and move.addr[:2] == ("a", "r"):
-                return Response(TGT, Move(("a",) + move.addr[2:], move.pay), j, r.delta)
-            if move.addr[:1] == ("b",):
-                if self.with_store:
-                    return Response(TGT, move, j, r.delta)
-                return Response(
-                    TGT, Move(("a",) + move.addr[1:], move.pay), j, r.delta
-                )
-            raise OracleError(f"Λ⁻¹: unplaceable response {r}")
-
-        return self.g, iview, back
+        return self.g, self._x_view(view) + (
+            Entry(TGT, Move((), STAR), 0, view.entries[1].delta),
+            Entry(TGT, Move(("j",), (MERGE, pb)), 1, ()),
+        ), self.TABLES[self.with_store]
 
 
 def ev(b: Arena, c: Arena) -> Strategy:
@@ -1019,7 +941,30 @@ def mk_merge_shape(b: Arena, c: Arena) -> Arena:
     return Imp(b if s is None else Tensor(b, s), z)
 
 
-class TotalRestrict(TransformStrategy):
+class SeparateHead(ZonedTransform):
+    """f~ : a ⊗ a -> b with the first source interrogation in the right copy
+    and all later ones in the left, so that Δ;f~ = f."""
+
+    # Both copies fold onto f's one source.  Backwards, a view that has
+    # already touched the source answers into the left copy.
+    FIRST = ZoneTable(TZone(SRC, ("r",), SRC, ()), TZone(TGT, (), TGT, ()))
+    LATER = ZoneTable(
+        TZone(SRC, ("l",), SRC, ()), TZone(SRC, ("r",), SRC, ()), TZone(TGT, (), TGT, ())
+    )
+
+    def __init__(self, f: Strategy):
+        a = f.board.src
+        assert a.is_pointed(), "head separation needs a pointed source"
+        super().__init__(Board(Tensor(a, a), f.board.tgt), f"sep({f.name})")
+        self.f = f
+
+    def prefix(self, view):
+        src_done = any(e.comp == SRC for e in view.entries[1:])
+        init = Entry(SRC, Move((), view.entries[0].move.pay[2]), None, ())
+        return self.f, (init,), self.LATER if src_done else self.FIRST
+
+
+class TotalRestrict(Strategy):
     """Restrict to one initial orbit; other initials get the bare point."""
 
     def __init__(self, inner: Strategy, init_pay):
@@ -1330,10 +1275,6 @@ def strat_of_viewf(vf: Viewfunction) -> Strategy:
     return TableStrategy(vf.board, list(vf.plays.values()), name="strat(f)")
 
 
-def viewf_of_strat(sigma: Strategy, depth: int, budget=None) -> Viewfunction:
-    return viewfunction(sigma, depth, budget)
-
-
 def strategy_equal(s1: Strategy, s2: Strategy, depth: int, budget=None) -> bool:
     if s1.board != s2.board:
         raise ValueError(f"board mismatch: {s1.board} vs {s2.board}")
@@ -1451,50 +1392,6 @@ def classify(sigma: Strategy, depth: int = 6, budget=None) -> TotalityClass:
     return TotalityClass(total, l4, t4, tl4, ttotal, starred, depth)
 
 
-class SeparateHead(TransformStrategy):
-    """f~ : a ⊗ a -> b with the first source interrogation in the right copy
-    and all later ones in the left, so that Δ;f~ = f."""
-
-    def __init__(self, f: Strategy):
-        a = f.board.src
-        assert a.is_pointed(), "head separation needs a pointed source"
-        super().__init__(Board(Tensor(a, a), f.board.tgt), f"sep({f.name})")
-        self.f = f
-
-    def initial_response(self, view):
-        p = view.entries[0].move.pay
-        inner = Play(self.f.board, (Entry(SRC, Move((), p[2]), None, ()),))
-        r = self.f.respond(inner)
-        return r
-
-    def inner_for(self, view):
-        p = view.entries[0].move.pay
-
-        def comp_map(comp, move):
-            if comp == SRC:
-                return SRC, Move(move.addr[1:], move.pay)
-            return comp, move
-
-        entries = [Entry(SRC, Move((), p[2]), None, ())]
-        entries += translate_entries(view, 1, comp_map, lambda j, e: j)
-        iview = Play(self.f.board, tuple(entries))
-        src_done = any(e.comp == SRC for e in view.entries[1:])
-
-        def back(r: Response) -> Response:
-            if r.comp == SRC:
-                side = "l" if src_done else "r"
-                return Response(
-                    SRC, Move((side,) + r.move.addr, r.move.pay), r.justifier, r.delta
-                )
-            return r
-
-        return self.f, iview, back
-
-
-def separate_head(f: Strategy) -> Strategy:
-    return SeparateHead(f)
-
-
 def determinacy_fuzz(sigma: Strategy, depth: int, budget=None) -> Optional[str]:
     """Search for an orbit-collision: two equivalent views with inequivalent
     responses.  Returns a description or None."""
@@ -1555,8 +1452,6 @@ def legal_o_extensions_of_play(p: Play, budget: Budget):
 def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: Budget):
     """Random legal environment against sigma;tau, returning the component
     plays (s, t) it induces.  None when the walk dies immediately."""
-    from .plays import pview_with_origins
-
     chain = ChainStrategy([sigma, tau])
     n = 2
     u: list[UEntry] = []
@@ -1605,71 +1500,3 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
     s_play, _ = chain._project(u, 1)
     t_play, _ = chain._project(u, n)
     return s_play, t_play, composite
-
-
-# ---------------------------------------------------------------------------
-# Dispatcher facades over the primitive constructors
-# ---------------------------------------------------------------------------
-
-def basic_strategy(kind: str, **params) -> Strategy:
-    """Basic arrows by name: numerals, terminal, name projections,
-    identities, diagonal, equality, tensor projections, pairing."""
-    if kind == "numeral":
-        return Numeral(params["n"])
-    if kind == "bang":
-        return Bang(params["src"])
-    if kind == "name-proj":
-        return NameListProj(params["positions"], params["src"])
-    if kind == "id":
-        return identity(params["arena"])
-    if kind == "diagonal":
-        return Diagonal(params["arena"])
-    if kind == "eq":
-        g = Names((params["family"],))
-        return EqStrat(Tensor(g, g))
-    if kind == "projection":
-        return PathProjection(params["src"], params["path"])
-    if kind == "pairing":
-        return Pairing(params["f"], params["g"])
-    raise ValueError(f"unknown basic strategy {kind!r}")
-
-
-def combinator(kind: str, **params) -> Strategy:
-    """Structural combinators: tensor, lift, currying and evaluation."""
-    if kind == "tensor":
-        return TensorOf(params["f"], params["g"])
-    if kind == "lift":
-        return LiftF(params["f"])
-    if kind == "curry":
-        return LambdaC(params["f"])
-    if kind == "uncurry":
-        return LambdaInv(params["g"], params["target"])
-    if kind == "ev":
-        return ev(params["arg"], params["target"])
-    raise ValueError(f"unknown combinator {kind!r}")
-
-
-def monad_comonad(kind: str, **params) -> Strategy:
-    """Lifting-monad and initial-state pieces by name."""
-    if kind == "up":
-        return Up(params["arena"])
-    if kind == "dn":
-        return Dn(params["arena"])
-    if kind == "st":
-        return St(params["left"], params["right"])
-    if kind == "pu":
-        return Pu(params["arena"])
-    if kind == "new":
-        return NewName(params["sig"], params["family"], params["arena"])
-    if kind == "binom":
-        return Binom(params["sig"], params["positions"], params["families"])
-    if kind == "epsilon":
-        src = Tensor(Names(params["sig"]), params["arena"])
-        return PathProjection(src, ("r",))
-    if kind == "delta":
-        n = Names(params["sig"])
-        a = params["arena"]
-        return compose(
-            TensorOf(Diagonal(n), identity(a)), assoc_rt(n, n, a)
-        )
-    raise ValueError(f"unknown monad/comonad piece {kind!r}")

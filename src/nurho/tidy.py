@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .arenas import (
     Arena,
@@ -47,11 +47,15 @@ from .strategies import (
     Strategy,
     TensorOf,
     TotalRestrict,
+    TZone,
     Zone,
+    ZonedTransform,
+    ZoneTable,
     assoc_rt,
     compose,
     extend_view,
     identity,
+    mirror,
     o_extensions,
     strategy_equal,
     unit_elim_right,
@@ -395,14 +399,6 @@ def scrutinizer(
     return out, False
 
 
-def fresh_leaf_for(init_pay, gamma, atom: Atom) -> Optional[Leaf]:
-    """The leftmost name leaf of the context carrying `atom`."""
-    for leaf in context_leaves(gamma):
-        if isinstance(leaf.ty, Ref) and leaf_payload(init_pay, leaf) == (atom,):
-            return leaf
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Case strategies (view transformers around the decomposed strategy)
 # ---------------------------------------------------------------------------
@@ -437,79 +433,32 @@ class ComplementRestrict(Strategy):
         return self.inner.respond(view)
 
 
-@dataclass(frozen=True)
-class TZone:
-    o_comp: str
-    o_prefix: tuple
-    i_comp: str
-    i_prefix: tuple
-    anchors: tuple  # pairs (outer_j, inner_j) valid for prefix-zone moves
+class CaseTransform(ZonedTransform):
+    """A decomposition case on the zone-table engine: sigma behind the
+    inner prefix `build(view)` (None: no response), renamed by `zones`.
+    Views shorter than `start` get the arrow's initial answer."""
 
-
-class ZonedTransform(Strategy):
-    """Generic decomposition transformer: outer views [init * ⊛ s] map to
-    inner views [init' * ⊛ prefix… s'] through address zones."""
-
-    def __init__(
-        self,
-        inner: Strategy,
-        board: Board,
-        name: str,
-        prefix_builder: Callable[[Play], Optional[list[Entry]]],
-        zones: list[TZone],
-    ):
+    def __init__(self, sigma: Strategy, board: Board, name: str, start: int, build, *zones):
         super().__init__(board, name)
-        self.inner = inner
-        self.prefix_builder = prefix_builder
-        self.zones = zones
+        self.sigma, self.start, self.build = sigma, start, build
+        self.table = ZoneTable(*zones)
 
-    def _fwd(self, e: Entry, shift: int) -> Entry:
-        for z in sorted(self.zones, key=lambda z: -len(z.o_prefix)):
-            if e.comp == z.o_comp and e.move.addr[: len(z.o_prefix)] == z.o_prefix:
-                move = Move(z.i_prefix + e.move.addr[len(z.o_prefix):], e.move.pay)
-                j = e.justifier
-                for oj, ij in z.anchors:
-                    if j == oj:
-                        return Entry(z.i_comp, move, ij, e.delta)
-                return Entry(z.i_comp, move, j + shift, e.delta)
-        raise ValueError(f"no zone for {e}")
+    def head(self, view):
+        return Response(TGT, Move((), STAR), 0)
 
-    def _bwd(self, r: Response, shift: int) -> Response:
-        for z in sorted(self.zones, key=lambda z: -len(z.i_prefix)):
-            if r.comp == z.i_comp and r.move.addr[: len(z.i_prefix)] == z.i_prefix:
-                move = Move(z.o_prefix + r.move.addr[len(z.i_prefix):], r.move.pay)
-                j = r.justifier
-                for oj, ij in z.anchors:
-                    if j == ij:
-                        return Response(z.o_comp, move, oj, r.delta)
-                return Response(z.o_comp, move, j - shift, r.delta)
-        raise ValueError(f"no inverse zone for {r}")
-
-    def respond_raw(self, view):
-        n = len(view)
-        if n == 1:
-            return Response(TGT, Move((), STAR), 0)
-        prefix = self.prefix_builder(view)
-        if prefix is None:
-            return None
-        shift = len(prefix) - 3
-        entries = list(prefix)
-        for idx in range(3, n):
-            entries.append(self._fwd(view.entries[idx], shift))
-        iview = Play(self.inner.board, tuple(entries))
-        r = self.inner.respond(iview)
-        if r is None:
-            return None
-        return self._bwd(r, shift)
+    def prefix(self, view):
+        entries = self.build(view)
+        return None if entries is None else (self.sigma, entries, self.table)
 
 
-def _standard_prefix(inner_board: Board, init_pay, extra: list[Entry]) -> list[Entry]:
-    return [
+def _opened(init_pay, *extra: Entry) -> tuple[Entry, ...]:
+    """A view opening the store arrow on `init_pay`, then `extra`."""
+    return (
         Entry(SRC, Move((), init_pay), None, ()),
         Entry(TGT, Move((), STAR), 0, ()),
         Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ()),
         *extra,
-    ]
+    )
 
 
 def strip_names_strategy(
@@ -557,20 +506,12 @@ def deref_case_strategy(sigma, names, gamma, c_ty: Type, k: int) -> Strategy:
     board = Board(p_of(sig, gden(gamma + (c_ty,), k)), sigma.board.tgt)
 
     def _question_atom(init_pay):
-        probe = Play(
-            sigma.board,
-            (
-                Entry(SRC, Move((), init_pay), None, ()),
-                Entry(TGT, Move((), STAR), 0, ()),
-                Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ()),
-            ),
-        )
-        r = sigma.respond(probe)
+        r = sigma.respond(Play(sigma.board, _opened(init_pay)))
         if r is None or r.move.addr != ("a", "q"):
             return None
         return r.move.pay
 
-    def prefix(view):
+    def build(view):
         pay = view.entries[0].move.pay
         gval = pay[2]
         inner_g, c_val = gval[1], gval[2]
@@ -578,18 +519,19 @@ def deref_case_strategy(sigma, names, gamma, c_ty: Type, k: int) -> Strategy:
         a = _question_atom(inner_init)
         if a is None:
             return None
-        return _standard_prefix(sigma.board, inner_init, [
+        return _opened(
+            inner_init,
             Entry(TGT, Move(("a", "q"), a), 2, ()),
             Entry(TGT, Move(("a", "v", c_ty), c_val), 3, ()),
-        ])
+        )
 
-    zones = [
+    return CaseTransform(
+        sigma, board, f"{sigma.name}@drf", 3, build,
         TZone(SRC, ("l",), SRC, ("l",), ((0, 0),)),
         TZone(SRC, ("r", "l"), SRC, ("r",), ((0, 0),)),
         TZone(SRC, ("r", "r"), TGT, ("a", "v", c_ty), ((0, 4),)),
         TZone(TGT, (), TGT, (), ((0, 0), (1, 1), (2, 2))),
-    ]
-    return ZonedTransform(sigma, board, f"{sigma.name}@drf", prefix, zones)
+    )
 
 
 def written_value_strategy(sigma, names, gamma, m0: Move, q_atom: Atom, c_ty: Type, k: int):
@@ -601,44 +543,19 @@ def written_value_strategy(sigma, names, gamma, m0: Move, q_atom: Atom, c_ty: Ty
     m0_comp = TGT if m0.addr[0] in ("j", "b") else SRC
     value_zone = store_zone + ("v", c_ty)
 
-    class WrittenValue(Strategy):
-        def respond_raw(self, view):
-            pay = view.entries[0].move.pay
-            prefix = [
-                Entry(SRC, Move((), pay), None, ()),
-                Entry(TGT, Move((), STAR), 0, ()),
-                Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ()),
-                _m0_entry(sigma, m0),
-                Entry(m0_comp, Move(store_zone + ("q",), q_atom), 3, ()),
-            ]
-            shift = len(prefix) - 1  # outer idx m>=1 -> inner m+shift
-            entries = list(prefix)
-            for idx in range(1, len(view.entries)):
-                e = view.entries[idx]
-                if e.comp == SRC:
-                    entries.append(
-                        Entry(SRC, e.move,
-                              0 if e.justifier == 0 else e.justifier + shift,
-                              e.delta)
-                    )
-                else:
-                    move = Move(value_zone + e.move.addr, e.move.pay)
-                    j = 4 if idx == 1 else e.justifier + shift
-                    entries.append(Entry(m0_comp, move, j, e.delta))
-            iview = Play(sigma.board, tuple(entries))
-            r = sigma.respond(iview)
-            if r is None:
-                return None
-            if r.comp == SRC and r.move.addr[: len(value_zone)] != value_zone:
-                j = 0 if r.justifier == 0 else r.justifier - shift
-                return Response(SRC, r.move, j, r.delta)
-            assert r.comp == m0_comp
-            assert r.move.addr[: len(value_zone)] == value_zone, r
-            sub = Move(r.move.addr[len(value_zone):], r.move.pay)
-            j = 0 if r.justifier == 4 else r.justifier - shift
-            return Response(TGT, sub, j, r.delta)
+    def build(view):
+        return _opened(
+            view.entries[0].move.pay,
+            _m0_entry(sigma, m0),
+            Entry(m0_comp, Move(store_zone + ("q",), q_atom), 3, ()),
+        )
 
-    raw = WrittenValue(Board(src, sden(c_ty, k)), name=f"{sigma.name}@wrote")
+    # the value's own moves live in the store answer to the written name
+    raw = CaseTransform(
+        sigma, Board(src, sden(c_ty, k)), f"{sigma.name}@wrote", 1, build,
+        TZone(SRC, (), SRC, (), ((0, 0),)),
+        TZone(TGT, (), m0_comp, value_zone, ((0, 4),)),
+    )
     return compose(raw, eta(sden(c_ty, k), k))
 
 
@@ -678,7 +595,7 @@ class ForgetUpdate(Strategy):
         e4 = view.entries[4]
         return (
             e4.comp == self.m0_comp
-            and e4.move.addr == (self.zone + ("q",) if self.m0_comp == TGT else self.zone + ("q",))
+            and e4.move.addr == self.zone + ("q",)
             and e4.move.pay == self.q_atom
             and e4.justifier == 3
         )
@@ -692,19 +609,10 @@ class ForgetUpdate(Strategy):
         # replay the copycat from entry 4 onwards
         for k_ in range(5, len(view.entries) + 1, 2):
             x = view.entries[k_ - 1]
-            j = x.justifier
-            best = None
-            for z in links.get(j, ()):
-                if x.comp == z.own_comp and x.move.addr[: len(z.own_prefix)] == z.own_prefix:
-                    if best is None or len(z.own_prefix) > len(best.own_prefix):
-                        best = z
-            if best is None:
+            out = mirror(self.board, x, k_ - 1, links.get(x.justifier, ()))
+            if out is None:
                 return None
-            moved = Move(
-                best.tgt_prefix + x.move.addr[len(best.own_prefix):], x.move.pay
-            )
-            r = Response(best.tgt_comp, moved, best.tgt_idx)
-            links[k_] = [best.flip(k_ - 1)]
+            r, links[k_] = out
             if k_ < len(view.entries):
                 actual = view.entries[k_]
                 if (actual.comp, actual.move, actual.justifier) != (
@@ -730,19 +638,15 @@ def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,
     m0_entry_comp = TGT if m0.addr[0] in ("j", "b") else SRC
     w_comp = m0_entry_comp
 
-    def prefix(view):
+    def build(view):
         pay = view.entries[0].move.pay
         gval = pay[2]
         inner_g, new_val = gval[1], gval[2]
-        init = (PAIR, pay[1], inner_g)
-        w_pay = w_extra(new_val)
-        return [
-            Entry(SRC, Move((), init), None, ()),
-            Entry(TGT, Move((), STAR), 0, ()),
-            Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ()),
+        return _opened(
+            (PAIR, pay[1], inner_g),
             _m0_entry(sigma, m0),
-            Entry(w_comp, Move(w_addr, w_pay), 3, ()),
-        ]
+            Entry(w_comp, Move(w_addr, w_extra(new_val)), 3, ()),
+        )
 
     zones = [
         TZone(SRC, ("l",), SRC, ("l",), ((0, 0),)),
@@ -762,7 +666,7 @@ def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,
         zones.append(TZone(TGT, ("b",), TGT, ("b",), ((2, 2),)))
 
     board = Board(board_src, t_of(out_value, k))
-    return ZonedTransform(sigma, board, f"{sigma.name}@{result_anchor}", prefix, zones)
+    return CaseTransform(sigma, board, f"{sigma.name}@{result_anchor}", 3, build, *zones)
 
 
 # ---------------------------------------------------------------------------
@@ -887,15 +791,7 @@ def _find_update(sigma, ctx, init_pay, m0: Move):
     budget = ctx.budget.with_atoms(
         tuple(ctx.names) + tuple(a for a in atoms_of(init_pay))
     )
-    base = Play(
-        sigma.board,
-        (
-            Entry(SRC, Move((), init_pay), None, ()),
-            Entry(TGT, Move((), STAR), 0, ()),
-            Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ()),
-            _m0_entry(sigma, m0),
-        ),
-    )
+    base = Play(sigma.board, _opened(init_pay, _m0_entry(sigma, m0)))
     fams = set(budget.families) | {a.family for a in ctx.names}
     seen = set()
     for fam in fams:

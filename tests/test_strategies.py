@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
 
 from nurho.arenas import (
+    MERGE,
+    PAIR,
+    STORE0,
     Budget,
     Imp,
     Lift,
@@ -41,6 +46,7 @@ from nurho.strategies import (
     TotalRestrict,
     Up,
     UpdStrategy,
+    ZonedTransform,
     assoc_rt,
     classify,
     compose,
@@ -52,9 +58,13 @@ from nurho.strategies import (
     strategy_leq,
     symm,
     unit_elim_left,
+    unit_intro_left,
     viewfunction,
 )
-from nurho.syntax import NAT, UNIT
+from nurho.model import denote, eta, ev_t, sden
+from nurho.nominal import NameList
+from nurho.syntax import NAT, UNIT, Arrow, infer, parse_term
+from nurho.tidy import SynthContext, decompose, value_case_strategy
 
 aN, bN = Atom(NAT, 0), Atom(NAT, 1)
 BUD = Budget(max_nat=2, atoms=(aN,), fresh_per_family=1, families=(NAT,))
@@ -405,14 +415,204 @@ def test_viewfunction_cache_returns_same_table():
 
 
 def test_dispatchers():
-    from nurho.strategies import basic_strategy, combinator, monad_comonad
-
-    n = basic_strategy("numeral", n=4)
+    """The basic arrows, combinators and monad pieces by their constructors."""
+    n = Numeral(4)
     assert eq6(n, Numeral(4))
-    e = basic_strategy("eq", family=NAT)
+    e = EqStrat(Tensor(GN, GN))
     assert e.board.tgt == NatArena()
-    up = monad_comonad("up", arena=NatArena())
-    lifted = combinator("lift", f=identity(NatArena()))
+    up = Up(NatArena())
+    lifted = LiftF(identity(NatArena()))
     assert eq6(compose(up, lifted), up)
-    eps = monad_comonad("epsilon", sig=(NAT,), arena=One())
+    eps = PathProjection(Tensor(Names((NAT,)), One()), ("r",))
     assert eps.board.tgt == One()
+
+
+# ---------------------------------------------------------------------------
+# The zone-table engine behind every view transformer
+# ---------------------------------------------------------------------------
+
+GOLD = Budget(max_nat=2, atoms=(aN,), fresh_per_family=1, families=(NAT, UNIT))
+
+
+def _den(src, names=(), k=2):
+    nl = NameList(names)
+    return denote(infer(parse_term(src), names=nl)[0], nl, k=k)
+
+
+def _case(src, kind):
+    ctx = SynthContext(NameList([aN]), (), NAT, 2, 8, GOLD)
+    case = decompose(_den(src, (aN,)), ctx, selected=True)
+    assert case.kind == kind
+    return case.components
+
+
+def _value_case(src, gamma, call):
+    """The continuation after a returned lambda ('body') or after a call
+    of a context function ('call')."""
+    lam, _ = infer(parse_term(src))
+    sigma = denote(lam.body if gamma else lam, NameList(), gamma, 2)
+    ctx = SynthContext(NameList(), gamma, NAT if call else UNIT, 2, 8, GOLD)
+    case = decompose(sigma, ctx)
+    assert case.kind == "value"
+    m0 = case.components["head"]
+    if call:
+        return value_case_strategy(
+            sigma, NameList(), gamma, m0, m0.addr[:-1] + ("b",),
+            lambda p: (PAIR, p, STORE0), NAT, sden(NAT, 2), 2, "call",
+        )
+    return value_case_strategy(
+        sigma, NameList(), gamma, m0, ("b", "l", "j"),
+        lambda p: (MERGE, (PAIR, p, STORE0)), UNIT, sden(UNIT, 2), 2, "body",
+    )
+
+
+def transformer_zoo() -> dict:
+    """Builders of the view transformers the suite uses, plus three term
+    denotations that are composites of them."""
+    N = NatArena()
+    f_r = compose(PathProjection(Tensor(N, N), ("r",)), Up(N))
+    f_l = compose(PathProjection(Tensor(N, N), ("l",)), Up(N))
+    f_st = compose(PathProjection(Tensor(One(), N), ("r",)), eta(N, 1))
+    n3 = Names((NAT, NAT, UNIT))
+    arrow = Arrow(UNIT, Arrow(Arrow(UNIT, UNIT), UNIT))
+    zoo = {
+        "lift-succ": lambda: LiftF(NatFn(lambda n: n + 1)),
+        "lift-num4": lambda: LiftF(Numeral(4)),
+        "lift-id-N": lambda: LiftF(identity(N)),
+        "pair-1-2": lambda: Pairing(Numeral(1), Numeral(2)),
+        "pair-up-up": lambda: Pairing(Up(N), Up(N)),
+        "tensor-up-up": lambda: TensorOf(Up(N), Up(One())),
+        "tensor-id-up": lambda: TensorOf(identity(N), Up(One())),
+        "tensor-diag-id": lambda: TensorOf(Diagonal(n3), identity(N)),
+        "tensor-namesproj": lambda: TensorOf(NameListProj((0, 1), n3), identity(N)),
+        "tensor-succ-id": lambda: TensorOf(NatFn(lambda n: n + 1), identity(N)),
+        "tensor-unit-fix": lambda: TensorOf(
+            identity(One()), unit_intro_left(sden(arrow, 2))
+        ),
+        "lam-nostore": lambda: LambdaC(f_r),
+        "laminv-nostore": lambda: LambdaInv(LambdaC(f_r), f_r.board.tgt),
+        "lam-tensor-id": lambda: TensorOf(LambdaC(f_l), identity(N)),
+        "ev-N-liftN": lambda: ev(N, Lift(N)),
+        "lam-store": lambda: LambdaC(f_st),
+        "laminv-store": lambda: LambdaInv(LambdaC(f_st), f_st.board.tgt),
+        "ev-t-N": lambda: ev_t(N, N, 1),
+        "sep-id-liftN": lambda: SeparateHead(identity(Lift(N))),
+        "read-cont": lambda: _case("(lambda y:N. succ y) !(N#0)", "read")["continuation"],
+        "write-value": lambda: _case("N#0 := 2 ; 0", "write")["value"],
+        "write-rest": lambda: _case("N#0 := 2 ; 0", "write")["rest"],
+        "value-body": lambda: _value_case("lambda x:1. x", (), False),
+        "value-call": lambda: _value_case("lambda f:N->N. f 1", (Arrow(NAT, NAT),), True),
+        "den-nu-assign-deref": lambda: _den("nu a:[N]. a := 1 ; !a", k=1),
+        "den-lam-succ": lambda: _den("lambda x:N. succ x"),
+        "den-lam-call": lambda: _den("lambda f:(1->1). f skip ; stop:1"),
+    }
+    for a in [One(), N]:
+        zoo[f"lift-up-{a}"] = lambda a=a: LiftF(Up(a))
+        zoo[f"lift-dn-{a}"] = lambda a=a: LiftF(Dn(a))
+    return zoo
+
+
+# md5 prefix and size of the sorted pretty() lines of each depth-8 table
+# under GOLD, recorded before the transformers moved onto zone tables.
+GOLDEN = {
+    "lift-succ": ("f96553f6081cdd66", 5),
+    "lift-num4": ("3b33704c52fdeb3c", 3),
+    "lift-id-N": ("c8164688b342448a", 5),
+    "pair-1-2": ("c49eed11542e1b1c", 1),
+    "pair-up-up": ("ad7e12fa76dfe82b", 9),
+    "tensor-up-up": ("17a0e10f984a88f2", 9),
+    "tensor-id-up": ("2fc1b011d707d271", 6),
+    "tensor-diag-id": ("b4a689008914030f", 3),
+    "tensor-namesproj": ("64c4714556f1e451", 3),
+    "tensor-succ-id": ("c7a632dd53748ee9", 9),
+    "tensor-unit-fix": ("9c3da72bb2dcea79", 12),
+    "lam-nostore": ("46c5984a6ce5a914", 12),
+    "laminv-nostore": ("0f82c69be1235211", 18),
+    "lam-tensor-id": ("439f648260ffd27c", 36),
+    "ev-N-liftN": ("bf13ae9a89922522", 15),
+    "lam-store": ("a36cc7b4817d9e8e", 22),
+    "laminv-store": ("24169618d39a4081", 24),
+    "ev-t-N": ("9b3a44b3c5ccca87", 51),
+    "sep-id-liftN": ("3deacf19d6b35784", 5),
+    "read-cont": ("e9f30ce091fec133", 36),
+    "write-value": ("9100090e85750b24", 12),
+    "write-rest": ("d003c1d8a4fc85cd", 12),
+    "value-body": ("9ab363dc1d7f68b8", 8),
+    "value-call": ("c7af30dabb034719", 24),
+    "den-nu-assign-deref": ("475822acfca2190c", 9),
+    "den-lam-succ": ("3bf3d9e674dee08d", 17),
+    "den-lam-call": ("e42e0884373238df", 11),
+    "lift-up-1": ("a038292f9684ea4e", 4),
+    "lift-dn-1": ("2ae7677a13b5f450", 4),
+    "lift-up-N": ("f52a8c6dabbb5140", 8),
+    "lift-dn-N": ("3a880f847b396cc4", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_tables(name):
+    vf = viewfunction(transformer_zoo()[name](), 8, GOLD)
+    lines = sorted(Play(vf.board, key).pretty() for key in vf.table)
+    got = hashlib.md5("\n\n".join(lines).encode()).hexdigest()[:16]
+    assert (got, len(lines)) == GOLDEN[name]
+
+
+def _zoned(s):
+    """The zone-table transformers in s: itself or its chain's parts."""
+    return [p for p in getattr(s, "parts", [s]) if isinstance(p, ZonedTransform)]
+
+
+# every transformer in the zoo whose views go past its prefix (ForgetUpdate
+# is a copycat machine; flat components end at the paired answer)
+ROUND_TRIP = sorted(
+    set(GOLDEN)
+    - {"pair-1-2", "tensor-diag-id", "tensor-namesproj", "tensor-succ-id", "write-rest"}
+    - {n for n in GOLDEN if n.startswith("den-")}
+)
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_zone_tables_round_trip(name):
+    """bwd(fwd(e)) == e on every renamed entry of the depth-6 views, with the
+    table each view selects."""
+    s = _zoned(transformer_zoo()[name]())[0]
+    checked = 0
+    for v in viewfunction(s, 6, GOLD).plays.values():
+        if len(v) <= s.start:
+            continue
+        inner, entries, table = s.prefix(Play(s.board, v.entries[:-1]))
+        shift = len(entries) - s.start
+        for e in v.entries[s.start:]:
+            want = e
+            if table is SeparateHead.LATER and e.comp == SRC:
+                # both source copies fold onto f's one source
+                want = Entry(SRC, Move(("l",) + e.move.addr[1:], e.move.pay),
+                             e.justifier, e.delta)
+            assert table.bwd(table.fwd(e, shift), shift) == want, v.pretty()
+            checked += 1
+    assert checked
+
+
+def test_zone_tables_cover_threads_and_store_variants():
+    zoo = transformer_zoo()
+    for name in ["pair-up-up", "tensor-up-up"]:
+        s = zoo[name]()
+        sides = {
+            v.entries[2].move.addr[0]
+            for v in viewfunction(s, 6, GOLD).plays.values()
+            if len(v) > 2
+        }
+        assert sides == {"l", "r"}, name
+    stores = {
+        (type(s).__name__, s.with_store)
+        for name in ["lam-nostore", "laminv-nostore", "lam-store", "laminv-store"]
+        for s in _zoned(zoo[name]())
+    }
+    assert stores == {(c, w) for c in ("LambdaC", "LambdaInv") for w in (False, True)}
+    seps = {
+        s.prefix(Play(s.board, v.entries[:-1]))[2] is SeparateHead.LATER
+        for s in [zoo["sep-id-liftN"]()]
+        for v in viewfunction(s, 6, GOLD).plays.values()
+        if len(v) > 1
+    }
+    assert seps == {False, True}

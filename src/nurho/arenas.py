@@ -27,11 +27,11 @@ graph-isomorphic presentations used throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterator, Optional
 
-from .nominal import Atom, Permutation, apply_perm, atoms_of, support
+from .nominal import Atom, Permutation, apply_perm, atoms_of
 from .syntax import Arrow, NAT, Nat, Prod, Ref, Type, UNIT, Unit
 
 STAR = "*"
@@ -708,12 +708,12 @@ def mk_imp(src: Arena, tgt: Arena) -> Arena:
 
 
 # ---------------------------------------------------------------------------
-# The type translation and store arena at finite depth
+# The type translation at finite store depth, under two depth policies
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def translate_type(t: Type, k: int) -> Arena:
-    """The depth-k approximant of the type's arena."""
+def _translate(t: Type, k: int, rec, arrow_k: int) -> Arena:
+    """One structural step of the type translation.  `rec` translates the
+    components: a product's at depth k, an arrow's at depth `arrow_k`."""
     if isinstance(t, Unit):
         return One()
     if isinstance(t, Nat):
@@ -721,14 +721,27 @@ def translate_type(t: Type, k: int) -> Arena:
     if isinstance(t, Ref):
         return Names((t.inner,))
     if isinstance(t, Prod):
-        return mk_tensor(translate_type(t.left, k), translate_type(t.right, k))
+        return mk_tensor(rec(t.left, k), rec(t.right, k))
     if isinstance(t, Arrow):
-        if k <= 0:
-            return One()
-        inner_src = translate_type(t.src, k - 1)
-        inner_tgt = translate_type(t.tgt, k - 1)
-        return mk_merge(inner_src, t_arena(inner_tgt, k))
+        # the arrow  a => T b,  the one place it is built
+        return mk_merge(rec(t.src, arrow_k), t_arena(rec(t.tgt, arrow_k), k))
     raise TypeError(f"not a type: {t!r}")
+
+
+@lru_cache(maxsize=None)
+def translate_type(t: Type, k: int) -> Arena:
+    """The depth-k approximant of the type's arena: arrow components one
+    level shallower, arrows cut off to 1 at k <= 0.  Store values use it."""
+    if isinstance(t, Arrow) and k <= 0:
+        return One()
+    return _translate(t, k, translate_type, k - 1)
+
+
+@lru_cache(maxsize=None)
+def sden(t: Type, k: int) -> Arena:
+    """The saturated translation at store depth k: arrow components at the
+    same depth k.  Term denotations use it."""
+    return _translate(t, k, sden, k)
 
 
 def store_arena(k: int) -> Arena:

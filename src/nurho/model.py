@@ -5,21 +5,19 @@ from the lifting monad and currying, references from the three store
 machines, and term denotations from the compositional translation clauses.
 Every equality this module reports is a bounded-depth table equality.
 
-Arenas: term-level types are translated *saturated* (full type structure,
-stores at uniform depth k, store contents one level shallower), which
-agrees with the approximant chain on flat components while sparing the
+Arenas: term-level types are translated with the saturated policy
+(`arenas.sden`: arrow components at the same store depth k), which agrees
+with the approximant chain on first-order types while sparing the
 embedding plumbing between adjacent approximants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .arenas import (
     Arena,
     Budget,
-    Imp,
     Lift,
     MERGE,
     Move,
@@ -32,22 +30,20 @@ from .arenas import (
     Store,
     Tensor,
     mk_names,
-    mk_tensor,
+    p_arena,
+    sden,
+    t_arena,
 )
 from .machine import Config, Store as TermStore, step, store_term
-from .nominal import Atom, NameList, Permutation, atoms_of, fresh_atom, support
+from .nominal import Atom, NameList, Permutation, fresh_atom
 from .plays import Board, Entry, Play, SRC, TGT
 from .strategies import (
     Bang,
-    Binom,
     CndStrategy,
-    Copycat,
-    Diagonal,
     Dn,
     DrfStrategy,
     EqStrat,
     LambdaC,
-    LambdaInv,
     LiftF,
     NameListProj,
     NatFn,
@@ -56,53 +52,24 @@ from .strategies import (
     Pairing,
     PathProjection,
     Pu,
-    Response,
     St,
     Strategy,
     TensorOf,
-    TotalRestrict,
     Up,
     UpdStrategy,
     assoc_lt,
     assoc_rt,
     compose,
+    ev,
+    extend_view,
     identity,
     strategy_diff,
     strategy_equal,
-    strategy_leq,
     symm,
     unit_elim_right,
-    viewfunction,
 )
 from . import syntax as S
-from .syntax import Arrow, NAT, Prod, Ref, Type, UNIT
-
-
-# ---------------------------------------------------------------------------
-# Saturated type translation for denotations
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def sden(t: Type, k: int) -> Arena:
-    """Term-level value arena at store depth k."""
-    if isinstance(t, S.Unit):
-        return One()
-    if isinstance(t, S.Nat):
-        return NatArena()
-    if isinstance(t, Ref):
-        return Names((t.inner,))
-    if isinstance(t, Prod):
-        return Tensor(sden(t.left, k), sden(t.right, k))
-    if isinstance(t, Arrow):
-        return Imp(
-            Tensor(sden(t.src, k), Store(k)),
-            Tensor(sden(t.tgt, k), Store(k)),
-        )
-    raise TypeError(t)
-
-
-def t_of(value: Arena, k: int) -> Arena:
-    return Imp(Store(k), Tensor(value, Store(k)))
+from .syntax import Arrow, Prod, Ref, Type, UNIT
 
 
 def gden(gamma: tuple[Type, ...], k: int) -> Arena:
@@ -110,10 +77,6 @@ def gden(gamma: tuple[Type, ...], k: int) -> Arena:
     for t in gamma:
         out = Tensor(out, sden(t, k))
     return out
-
-
-def p_of(sig: tuple, value: Arena) -> Arena:
-    return Tensor(mk_names(sig), value)
 
 
 def var_path(index: int) -> tuple:
@@ -126,8 +89,7 @@ def var_path(index: int) -> tuple:
 
 def ev_lift(a: Arena, k: int) -> Strategy:
     """ev : T a ⊗ store -> lift(a ⊗ store)."""
-    ta = t_of(a, k)
-    return LambdaInv(identity(ta), Lift(Tensor(a, Store(k))))
+    return ev(Store(k), Lift(Tensor(a, Store(k))))
 
 
 def t_map(f: Strategy, k: int) -> Strategy:
@@ -145,7 +107,7 @@ def eta(a: Arena, k: int) -> Strategy:
 
 
 def mu(a: Arena, k: int) -> Strategy:
-    ta = t_of(a, k)
+    ta = t_arena(a, k)
     body = compose(
         ev_lift(ta, k),
         LiftF(ev_lift(a, k)),
@@ -157,7 +119,7 @@ def mu(a: Arena, k: int) -> Strategy:
 def tau(a: Arena, b: Arena, k: int) -> Strategy:
     xi = Store(k)
     body = compose(
-        assoc_rt(a, t_of(b, k), xi),
+        assoc_rt(a, t_arena(b, k), xi),
         TensorOf(identity(a), ev_lift(b, k)),
         St(a, Tensor(b, xi)),
         LiftF(assoc_lt(a, b, xi)),
@@ -166,18 +128,18 @@ def tau(a: Arena, b: Arena, k: int) -> Strategy:
 
 
 def tau_prime(a: Arena, b: Arena, k: int) -> Strategy:
-    return compose(symm(t_of(a, k), b), tau(b, a, k), t_map(symm(b, a), k))
+    return compose(symm(t_arena(a, k), b), tau(b, a, k), t_map(symm(b, a), k))
 
 
 def psi(a: Arena, b: Arena, k: int) -> Strategy:
     return compose(
-        tau_prime(a, t_of(b, k), k), t_map(tau(a, b, k), k), mu(Tensor(a, b), k)
+        tau_prime(a, t_arena(b, k), k), t_map(tau(a, b, k), k), mu(Tensor(a, b), k)
     )
 
 
 def psi_prime(a: Arena, b: Arena, k: int) -> Strategy:
     return compose(
-        tau(t_of(a, k), b, k), t_map(tau_prime(a, b, k), k), mu(Tensor(a, b), k)
+        tau(t_arena(a, k), b, k), t_map(tau_prime(a, b, k), k), mu(Tensor(a, b), k)
     )
 
 
@@ -190,24 +152,14 @@ def alpha(a: Arena, k: int) -> Strategy:
     return LambdaC(st_prime(a, Store(k)))
 
 
-def lam_t(f: Strategy) -> Strategy:
-    """T-currying: f : x ⊗ b -> T c  to  x -> (b => T c)."""
-    return LambdaC(f)
-
-
 def ev_t(b_arena: Arena, c_value: Arena, k: int) -> Strategy:
     """T-evaluation: (b => T c) ⊗ b -> T c."""
-    arrow = Imp(Tensor(b_arena, Store(k)), Tensor(c_value, Store(k)))
-    return LambdaInv(identity(arrow), t_of(c_value, k))
-
-
-def new_name(sig: tuple, family: Type, a: Arena) -> Strategy:
-    return NewName(sig, family, a)
+    return ev(b_arena, t_arena(c_value, k))
 
 
 def nu_strategy(sig: tuple, family: Type, a: Arena, k: int) -> Strategy:
-    tgt_p = p_of(tuple(sig) + (family,), a)
-    return compose(new_name(sig, family, a), alpha(tgt_p, k))
+    tgt_p = p_arena(tuple(sig) + (family,), a)
+    return compose(NewName(sig, family, a), alpha(tgt_p, k))
 
 
 def abs_strategy(f: Strategy, sig: tuple, family: Type, k: int) -> Strategy:
@@ -216,20 +168,12 @@ def abs_strategy(f: Strategy, sig: tuple, family: Type, k: int) -> Strategy:
     assert isinstance(src, Tensor), src
     inner_value = src.right
     return compose(
-        new_name(sig, family, inner_value), LiftF(f), Pu(f.board.tgt)
+        NewName(sig, family, inner_value), LiftF(f), Pu(f.board.tgt)
     )
 
 
-def drf(c: Type, k: int) -> Strategy:
-    return DrfStrategy(c, k, value_arena=sden(c, k))
-
-
-def upd(c: Type, k: int) -> Strategy:
-    return UpdStrategy(c, k, value_arena=sden(c, k))
-
-
-def cnd(value: Arena, k: int) -> Strategy:
-    return CndStrategy(value, k)
+# the reference primitives, their values at the saturated arena sden(C, k)
+drf, upd = DrfStrategy, UpdStrategy
 
 
 def eq_strategy(fam: Type) -> Strategy:
@@ -241,14 +185,6 @@ def eq_strategy(fam: Type) -> Strategy:
 # The denotational translation
 # ---------------------------------------------------------------------------
 
-class DepthPolicy:
-    """Default translation depth: type order + 2, as a callable hook."""
-
-    @staticmethod
-    def depth_for(ty: Type) -> int:
-        return S.type_order(ty) + 2
-
-
 _DEN_CACHE: dict = {}
 
 
@@ -259,10 +195,10 @@ def denote(
     k: Optional[int] = None,
 ) -> Strategy:
     """The translation of  names | gamma |- term  as a strategy
-    P^names(gamma) -> T(type)."""
+    P^names(gamma) -> T(type), by default at store depth type order + 2."""
     ty = S.typecheck(names, list(gamma), term)
     if k is None:
-        k = DepthPolicy.depth_for(ty)
+        k = S.type_order(ty) + 2
     key = (tuple(names), tuple(gamma), term, k)
     hit = _DEN_CACHE.get(key)
     if hit is None:
@@ -273,7 +209,7 @@ def denote(
 
 def _denote(term, names, gamma, ty: Type, k: int) -> Strategy:
     sig = tuple(a.family for a in names)
-    src = p_of(sig, gden(gamma, k))
+    src = p_arena(sig, gden(gamma, k))
 
     def val0(v: S.Term, vty: Type) -> Strategy:
         # the value translation (eta is appended by the caller)
@@ -340,7 +276,7 @@ def _denote(term, names, gamma, ty: Type, k: int) -> Strategy:
     if isinstance(term, S.If0):
         branch_ty = ty
         val = sden(branch_ty, k)
-        ta = t_of(val, k)
+        ta = t_arena(val, k)
         legs = Pairing(
             denote(term.scrutinee, names, gamma, k),
             Pairing(
@@ -351,7 +287,7 @@ def _denote(term, names, gamma, ty: Type, k: int) -> Strategy:
         return compose(
             legs,
             tau_prime(NatArena(), Tensor(ta, ta), k),
-            t_map(cnd(val, k), k),
+            t_map(CndStrategy(val, k), k),
             mu(val, k),
         )
     if isinstance(term, S.EqTest):
@@ -427,7 +363,7 @@ def observable(f: Strategy, budget: int = 8, init: Optional[Entry] = None) -> bo
     r1 = f.respond(v1)
     if r1 is None or r1.move != Move((), STAR):
         return False
-    v2 = extend(v1, r1)
+    v2 = extend_view(v1, r1)
     opener = Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ())
     r2 = f.respond(v2.append(opener))
     if r2 is None:
@@ -437,10 +373,6 @@ def observable(f: Strategy, budget: int = 8, init: Optional[Entry] = None) -> bo
         and r2.justifier == 2
         and len(r2.delta) <= budget
     )
-
-
-def extend(view: Play, r: Response) -> Play:
-    return view.append(r.entry())
 
 
 def guard_derefs(term: S.Term) -> S.Term:
@@ -521,7 +453,7 @@ def check_diagram(
         # zeta then new  =  (id x new) then tau then T(zeta)
         sig = (ty,)
         n_arena = Names(sig)
-        pb = p_of(sig, b)
+        pb = p_arena(sig, b)
         zeta = compose(
             assoc_lt(a, n_arena, b),
             TensorOf(symm(a, n_arena), identity(b)),
@@ -536,7 +468,7 @@ def check_diagram(
         )
         rhs = compose(
             TensorOf(identity(a), nu_strategy(sig, ty, b, k)),
-            tau(a, p_of(sig2, b), k),
+            tau(a, p_arena(sig2, b), k),
             t_map(zeta2, k),
         )
         return _report("N2-right", lhs, rhs, depth, budget)
@@ -562,7 +494,7 @@ def check_diagram(
         arms = Pairing(arm(("l",)), arm(("r",)))
         elim = t_map(PathProjection(Tensor(One(), One()), ("r",)), k)
         lhs = compose(arms, psi(One(), One(), k), elim)
-        rhs = compose(arms, PathProjection(Tensor(t_of(One(), k), t_of(One(), k)), ("r",)))
+        rhs = compose(arms, PathProjection(Tensor(t_arena(One(), k), t_arena(One(), k)), ("r",)))
         return _report("NR-2", lhs, rhs, depth, budget)
     if name == "NR-3":
         names2 = Names((ty, ty2))
@@ -584,12 +516,12 @@ def check_diagram(
         return _report("NR-3", lhs, rhs, depth, budget)
     if name == "SNR":
         sig = (ty,)
-        pa = p_of(sig, a)
+        pa = p_arena(sig, a)
         gb = Tensor(Names((ty2,)), b)
         src = Tensor(pa, gb)
         left = compose(PathProjection(src, ("l",)), nu_strategy(sig, ty, a, k))
         right = compose(PathProjection(src, ("r",)), upd(ty2, k))
-        paa = p_of(tuple(sig) + (ty,), a)
+        paa = p_arena(tuple(sig) + (ty,), a)
         lhs = compose(Pairing(left, right), psi(paa, One(), k))
         rhs = compose(Pairing(left, right), psi_prime(paa, One(), k))
         return _report("SNR", lhs, rhs, depth, budget)

@@ -111,9 +111,6 @@ class Permutation:
         return Permutation({a: b, b: a})
 
 
-IDENTITY = Permutation.identity()
-
-
 # ---------------------------------------------------------------------------
 # Structural permutation action and atom traversal.
 #

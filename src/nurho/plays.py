@@ -8,11 +8,10 @@ makes projections of interactions well-behaved.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arenas import Arena, Move, arena_str, pay_str
+from .arenas import Arena, Move, arena_str
 from .nominal import (
     Atom,
     Permutation,
@@ -567,10 +566,6 @@ def play_to_json(p: Play) -> dict:
     }
 
 
-def play_to_json_str(p: Play) -> str:
-    return json.dumps(play_to_json(p), indent=2, ensure_ascii=False)
-
-
 def _pay_from_json(js):
     from .syntax import parse_type
 
@@ -609,22 +604,26 @@ def play_to_json_full(p: Play) -> dict:
 
 
 def play_from_json(js) -> Play:
+    """Read a play in the form `play_to_json_full` writes.  A shape it
+    cannot read raises ValueError."""
     from .syntax import parse_type
 
-    board = board_from_json(js["board"])
-    entries = []
-    for e in js["entries"]:
-        atom_strs = e.get("delta", [])
-        delta = []
-        for s in atom_strs:
-            fam, idx = s.rsplit("#", 1)
-            delta.append(Atom(parse_type(fam), int(idx)))
-        entries.append(
-            Entry(
-                e["comp"],
-                Move(_addr_from_json(e["move-path"]), _pay_from_json(e["payload"])),
-                e["justifier"],
-                tuple(delta),
+    try:
+        board = board_from_json(js["board"])
+        entries = []
+        for e in js["entries"]:
+            delta = []
+            for s in e.get("delta", []):
+                fam, idx = s.rsplit("#", 1)
+                delta.append(Atom(parse_type(fam), int(idx)))
+            entries.append(
+                Entry(
+                    e["comp"],
+                    Move(_addr_from_json(e["move-path"]), _pay_from_json(e["payload"])),
+                    e["justifier"],
+                    tuple(delta),
+                )
             )
-        )
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"not a play: {e}") from None
     return Play(board, tuple(entries))

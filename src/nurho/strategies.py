@@ -19,7 +19,7 @@ Three kinds of strategies cover everything downstream:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .arenas import (
@@ -38,15 +38,15 @@ from .arenas import (
     STAR1,
     STAR2,
     STORE0,
-    Store,
     Tensor,
     enum_schemas,
+    mk_merge,
     mk_tensor,
+    sden,
+    t_arena,
 )
 from .nominal import (
     Atom,
-    Permutation,
-    apply_perm,
     atoms_of,
     canonical_perm,
     fresh_atom,
@@ -248,14 +248,6 @@ class Copycat(MachineStrategy):
 
 def identity(a: Arena) -> Strategy:
     return Copycat(Board(a, a))
-
-
-def inclusion(a: Arena, b: Arena) -> Strategy:
-    return Copycat(Board(a, b), name="incl")
-
-
-def projection_embed(b: Arena, a: Arena) -> Strategy:
-    return Copycat(Board(b, a), name="proj")
 
 
 class PathProjection(MachineStrategy):
@@ -573,12 +565,11 @@ class Binom(MachineStrategy):
 class DrfStrategy(MachineStrategy):
     """Dereference: ask the name at the store, return and thread the value."""
 
-    def __init__(self, c_type, k: int, value_arena: Optional[Arena] = None):
-        from .arenas import t_arena, translate_type
-
+    def __init__(self, c_type, k: int):
         self.c_type = c_type
-        den = value_arena if value_arena is not None else translate_type(c_type, k)
-        super().__init__(Board(Names((c_type,)), t_arena(den, k)), f"drf[{c_type}]")
+        super().__init__(
+            Board(Names((c_type,)), t_arena(sden(c_type, k), k)), f"drf[{c_type}]"
+        )
 
     def prelude(self, view, i, links):
         if i == 0:
@@ -600,13 +591,10 @@ class UpdStrategy(MachineStrategy):
     """Update: answer the store immediately; serve the written name from the
     held value, pass every other name to the previous store."""
 
-    def __init__(self, c_type, k: int, value_arena: Optional[Arena] = None):
-        from .arenas import t_arena, translate_type
-
+    def __init__(self, c_type, k: int):
         self.c_type = c_type
-        den = value_arena if value_arena is not None else translate_type(c_type, k)
         super().__init__(
-            Board(Tensor(Names((c_type,)), den), t_arena(One(), k)),
+            Board(Tensor(Names((c_type,)), sden(c_type, k)), t_arena(One(), k)),
             f"upd[{c_type}]",
         )
 
@@ -636,8 +624,6 @@ class CndStrategy(MachineStrategy):
     """Zero-test dispatch: n ⊗ (T a)² -> T a, total copycat of the branch."""
 
     def __init__(self, value: Arena, k: int):
-        from .arenas import t_arena
-
         ta = t_arena(value, k)
         super().__init__(Board(Tensor(NatArena(), Tensor(ta, ta)), ta), "cnd")
 
@@ -855,9 +841,8 @@ class LambdaC(ZonedTransform):
         src = f.board.src
         assert isinstance(src, Tensor), f"currying needs a tensor source: {src}"
         x, b = src.left, src.right
-        s, z = _imp_parts(f.board.tgt)
-        tgt = Imp(b if s is None else Tensor(b, s), z)
-        super().__init__(Board(x, tgt), f"Λ({f.name})")
+        s, _ = _imp_parts(f.board.tgt)
+        super().__init__(Board(x, mk_merge(b, f.board.tgt)), f"Λ({f.name})")
         self.f = f
         self.with_store = s is not None
 
@@ -931,14 +916,8 @@ class LambdaInv(ZonedTransform):
 
 
 def ev(b: Arena, c: Arena) -> Strategy:
-    """Evaluation (b => c-ish) ⊗ b -> c-ish."""
-    arrow = mk_merge_shape(b, c)
-    return LambdaInv(identity(arrow), c)
-
-
-def mk_merge_shape(b: Arena, c: Arena) -> Arena:
-    s, z = _imp_parts(c)
-    return Imp(b if s is None else Tensor(b, s), z)
+    """Evaluation (b ⊸⊗ c) ⊗ b -> c, for a lifted or arrow-shaped c."""
+    return LambdaInv(identity(mk_merge(b, c)), c)
 
 
 class SeparateHead(ZonedTransform):

@@ -9,14 +9,12 @@ whose denotation reproduces the strategy at the verification bound.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .arenas import (
     Arena,
     Budget,
-    Imp,
     MERGE,
     Move,
     Names,
@@ -25,22 +23,23 @@ from .arenas import (
     PAIR,
     STAR,
     STORE0,
-    Store,
     Tensor,
     classify_store_move,
     INITIAL,
     STORE_A,
     STORE_H,
     STORE_Q,
+    p_arena,
+    sden,
+    t_arena,
 )
 from .nominal import Atom, NameList, atoms_of, orbit_canon, support
 from .plays import Board, Entry, Play, SRC, TGT
 from .strategies import (
-    Bang,
+    CndStrategy,
     Diagonal,
     MachineStrategy,
     NameListProj,
-    Numeral,
     Pairing,
     PathProjection,
     Response,
@@ -62,21 +61,7 @@ from .strategies import (
     viewfunction,
 )
 from . import syntax as S
-from .model import (
-    abs_strategy,
-    cnd,
-    denote,
-    drf,
-    eta,
-    gden,
-    mu,
-    p_of,
-    sden,
-    t_map,
-    t_of,
-    tau,
-    upd,
-)
+from .model import abs_strategy, denote, drf, eta, gden, mu, t_map, tau, upd
 from .syntax import Arrow, NAT, Prod, Ref, Type, UNIT
 
 
@@ -466,7 +451,7 @@ def strip_names_strategy(
 ) -> Strategy:
     """Case 2: the fresh names of the head response become ambient."""
     big = NameList(tuple(names) + tuple(fresh))
-    board = Board(p_of(tuple(a.family for a in big), gden(gamma, k)), sigma.board.tgt)
+    board = Board(p_arena(tuple(a.family for a in big), gden(gamma, k)), sigma.board.tgt)
 
     class Stripped(Strategy):
         def respond_raw(self, view):
@@ -503,7 +488,7 @@ def deref_case_strategy(sigma, names, gamma, c_ty: Type, k: int) -> Strategy:
     """Case 3a's sigma_a : the continuation with the read value as an extra
     context variable."""
     sig = tuple(a.family for a in names)
-    board = Board(p_of(sig, gden(gamma + (c_ty,), k)), sigma.board.tgt)
+    board = Board(p_arena(sig, gden(gamma + (c_ty,), k)), sigma.board.tgt)
 
     def _question_atom(init_pay):
         r = sigma.respond(Play(sigma.board, _opened(init_pay)))
@@ -538,15 +523,15 @@ def written_value_strategy(sigma, names, gamma, m0: Move, q_atom: Atom, c_ty: Ty
     """Case 3b's written value: P^names(gamma) -> T(C), built as a value
     strategy followed by the monad unit."""
     sig = tuple(a.family for a in names)
-    src = p_of(sig, gden(gamma, k))
+    src = p_arena(sig, gden(gamma, k))
     store_zone = _store_zone_of(m0)
-    m0_comp = TGT if m0.addr[0] in ("j", "b") else SRC
+    m0_comp = _comp_of(m0)
     value_zone = store_zone + ("v", c_ty)
 
     def build(view):
         return _opened(
             view.entries[0].move.pay,
-            _m0_entry(sigma, m0),
+            _m0_entry(m0),
             Entry(m0_comp, Move(store_zone + ("q",), q_atom), 3, ()),
         )
 
@@ -559,10 +544,14 @@ def written_value_strategy(sigma, names, gamma, m0: Move, q_atom: Atom, c_ty: Ty
     return compose(raw, eta(sden(c_ty, k), k))
 
 
-def _m0_entry(sigma: Strategy, m0: Move) -> Entry:
-    return Entry(TGT, m0, 2, ()) if m0.addr[0] in ("j", "b") else Entry(
-        SRC, m0, 0, ()
-    )
+def _comp_of(m0: Move) -> str:
+    """The component of the handle m0: the target's store opener or answer,
+    or else a source-side interrogation."""
+    return TGT if m0.addr[0] in ("j", "b") else SRC
+
+
+def _m0_entry(m0: Move) -> Entry:
+    return Entry(TGT, m0, 2, ()) if _comp_of(m0) == TGT else Entry(SRC, m0, 0, ())
 
 
 def _store_zone_of(m0: Move) -> tuple:
@@ -586,8 +575,7 @@ class ForgetUpdate(Strategy):
         self.m0 = m0
         self.q_atom = q_atom
         self.zone = _store_zone_of(m0)
-        m0_comp = TGT if m0.addr[0] in ("j", "b") else SRC
-        self.m0_comp = m0_comp
+        self.m0_comp = _comp_of(m0)
 
     def _in_thread(self, view) -> bool:
         if len(view) < 5:
@@ -633,10 +621,9 @@ def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,
     'root' when it still answers the ambient store opener.
     """
     sig = tuple(a.family for a in names)
-    board_src = p_of(sig, gden(gamma + (new_ty,), k))
+    board_src = p_arena(sig, gden(gamma + (new_ty,), k))
 
-    m0_entry_comp = TGT if m0.addr[0] in ("j", "b") else SRC
-    w_comp = m0_entry_comp
+    w_comp = _comp_of(m0)
 
     def build(view):
         pay = view.entries[0].move.pay
@@ -644,7 +631,7 @@ def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,
         inner_g, new_val = gval[1], gval[2]
         return _opened(
             (PAIR, pay[1], inner_g),
-            _m0_entry(sigma, m0),
+            _m0_entry(m0),
             Entry(w_comp, Move(w_addr, w_extra(new_val)), 3, ()),
         )
 
@@ -665,7 +652,7 @@ def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,
         zones.append(TZone(TGT, ("a",), w_comp, w_addr + ("r",), ((2, 4),)))
         zones.append(TZone(TGT, ("b",), TGT, ("b",), ((2, 2),)))
 
-    board = Board(board_src, t_of(out_value, k))
+    board = Board(board_src, t_arena(out_value, k))
     return CaseTransform(sigma, board, f"{sigma.name}@{result_anchor}", 3, build, *zones)
 
 
@@ -692,7 +679,7 @@ class SynthContext:
     fuel: int = 24
 
     def board_src(self):
-        return p_of(tuple(a.family for a in self.names), gden(self.gamma, self.k))
+        return p_arena(tuple(a.family for a in self.names), gden(self.gamma, self.k))
 
 
 def head_responses(sigma: Strategy, ctx: SynthContext) -> dict:
@@ -735,7 +722,7 @@ def decompose(
         case.recombined = compose(
             Pairing(case.components["test"],
                     Pairing(sigma0, sigma_rest)),
-            cnd(out_value, ctx.k),
+            CndStrategy(out_value, ctx.k),
         )
         return case
     if x0.delta:
@@ -787,11 +774,11 @@ def _single_orbit_context(ctx: SynthContext) -> bool:
 def _find_update(sigma, ctx, init_pay, m0: Move):
     """Does sigma answer a store question right under m0's store?"""
     zone = _store_zone_of(m0)
-    comp = TGT if m0.addr[0] in ("j", "b") else SRC
+    comp = _comp_of(m0)
     budget = ctx.budget.with_atoms(
         tuple(ctx.names) + tuple(a for a in atoms_of(init_pay))
     )
-    base = Play(sigma.board, _opened(init_pay, _m0_entry(sigma, m0)))
+    base = Play(sigma.board, _opened(init_pay, _m0_entry(m0)))
     fams = set(budget.families) | {a.family for a in ctx.names}
     seen = set()
     for fam in fams:
@@ -827,19 +814,22 @@ def _recombine_read(sigma, inner, ctx, atom, c_ty, init_pay):
     return TotalRestrict(composite, init_pay)
 
 
-def _phi_read(ctx, atom, c_ty, init_pay):
+def _name_of(ctx, atom, init_pay) -> Strategy:
+    """P^names(gamma) -> the name `atom`: ambient, or a context leaf."""
     src = ctx.board_src()
     if atom in ctx.names:
         pos = tuple(ctx.names).index(atom)
-        extract = compose(
+        return compose(
             PathProjection(src, ("l",)),
             NameListProj((pos,), Names(tuple(a.family for a in ctx.names))),
         )
-    else:
-        leaf = _leaf_by_payload(init_pay, ctx.gamma, atom)
-        assert leaf is not None, f"no context leaf holds {atom}"
-        extract = PathProjection(src, ("r",) + leaf.gpath)
-    return compose(extract, drf(c_ty, ctx.k))
+    leaf = _leaf_by_payload(init_pay, ctx.gamma, atom)
+    assert leaf is not None, f"no context leaf holds {atom}"
+    return PathProjection(src, ("r",) + leaf.gpath)
+
+
+def _phi_read(ctx, atom, c_ty, init_pay):
+    return compose(_name_of(ctx, atom, init_pay), drf(c_ty, ctx.k))
 
 
 def _leaf_by_payload(init_pay, gamma, atom):
@@ -850,20 +840,8 @@ def _leaf_by_payload(init_pay, gamma, atom):
 
 
 def _phi_write(ctx, atom, c_ty, init_pay):
-    src = ctx.board_src()
-    if atom in ctx.names:
-        pos = tuple(ctx.names).index(atom)
-        extract = compose(
-            PathProjection(src, ("l",)),
-            NameListProj((pos,), Names(tuple(a.family for a in ctx.names))),
-        )
-    else:
-        leaf = _leaf_by_payload(init_pay, ctx.gamma, atom)
-        assert leaf is not None
-        extract = PathProjection(src, ("r",) + leaf.gpath)
-    val = sden(c_ty, ctx.k)
     return compose(
-        TensorOf(extract, identity(val)),
+        TensorOf(_name_of(ctx, atom, init_pay), identity(sden(c_ty, ctx.k))),
         upd(c_ty, ctx.k),
     )
 
@@ -899,7 +877,7 @@ def synthesize(sigma: Strategy, ctx: SynthContext, selected: bool = False) -> S.
     """Turn a finitary tidy strategy back into a term; bounded-faithful."""
     if ctx.fuel <= 0:
         raise SynthesisError("synthesis recursion budget exhausted")
-    case = decompose(sigma, _spend(ctx, 0), selected=selected)
+    case = decompose(sigma, ctx, selected=selected)
     if case.kind == "stop":
         return S.stop_term(ctx.out_ty)
     init_pay = case.init_pay
@@ -912,11 +890,7 @@ def synthesize(sigma: Strategy, ctx: SynthContext, selected: bool = False) -> S.
         return S.If0(n0, m0, m_rest)
     if case.kind == "fresh":
         fresh = case.components["names"]
-        inner_ctx = _spend(ctx)
-        inner_ctx = SynthContext(
-            NameList(tuple(ctx.names) + tuple(fresh)),
-            ctx.gamma, ctx.out_ty, ctx.k, ctx.depth, ctx.budget, ctx.fuel - 1,
-        )
+        inner_ctx = _spend(ctx, names=NameList(tuple(ctx.names) + tuple(fresh)))
         body = synthesize(case.components["inner"], inner_ctx, selected=True)
         for a in reversed(fresh):
             body = S.Nu(a, body)
@@ -924,19 +898,13 @@ def synthesize(sigma: Strategy, ctx: SynthContext, selected: bool = False) -> S.
     if case.kind == "read":
         atom = case.components["atom"]
         c_ty = atom.family
-        inner_ctx = SynthContext(
-            ctx.names, ctx.gamma + (c_ty,), ctx.out_ty, ctx.k, ctx.depth,
-            ctx.budget, ctx.fuel - 1,
-        )
-        m_a = synthesize(case.components["continuation"], inner_ctx)
+        m_a = synthesize(case.components["continuation"],
+                         _spend(ctx, gamma=ctx.gamma + (c_ty,)))
         return S.App(S.Lam("y", c_ty, m_a), S.Deref(_name_term(ctx, init_pay, atom)))
     if case.kind == "write":
         atom = case.components["atom"]
         c_ty = atom.family
-        val_ctx = SynthContext(
-            ctx.names, ctx.gamma, c_ty, ctx.k, ctx.depth, ctx.budget, ctx.fuel - 1
-        )
-        m_val = synthesize(case.components["value"], val_ctx, selected=True)
+        m_val = synthesize(case.components["value"], _spend(ctx, out_ty=c_ty), selected=True)
         m_rest = synthesize(case.components["rest"], _spend(ctx), selected=True)
         return S.seq(S.Assign(_name_term(ctx, init_pay, atom), m_val), m_rest)
     if case.kind == "value":
@@ -944,11 +912,9 @@ def synthesize(sigma: Strategy, ctx: SynthContext, selected: bool = False) -> S.
     raise SynthesisError(f"unhandled case {case.kind}")
 
 
-def _spend(ctx: SynthContext, dec: int = 1) -> SynthContext:
-    return SynthContext(
-        ctx.names, ctx.gamma, ctx.out_ty, ctx.k, ctx.depth, ctx.budget,
-        ctx.fuel - dec,
-    )
+def _spend(ctx: SynthContext, **changes) -> SynthContext:
+    """A sub-problem's context: one unit of fuel less, and `changes`."""
+    return replace(ctx, fuel=ctx.fuel - 1, **changes)
 
 
 def _name_term(ctx: SynthContext, init_pay, atom: Atom) -> S.Term:
@@ -964,23 +930,21 @@ def _synthesize_value(sigma, ctx, init_pay, m0: Move) -> S.Term:
     if m0.addr[:1] == ("b",):
         # returning a value of the output type
         val_pay = m0.pay[1]
-        return _value_term(sigma, ctx, init_pay, m0, ctx.out_ty, val_pay, ())
+        return _value_term(sigma, ctx, init_pay, m0, ctx.out_ty, val_pay, ("b", "l"), "body")
     # interrogating an argument: m0 is a source-side merged question
     leaf, leafpath = _arrow_leaf_for(ctx, m0)
     arg_pay = m0.pay[1][1]
     assert isinstance(leaf.ty, Arrow)
-    arg_term = _value_term_for_argument(sigma, ctx, init_pay, m0, leaf.ty.src, arg_pay)
+    arg_term = _value_term(
+        sigma, ctx, init_pay, m0, leaf.ty.src, arg_pay, m0.addr[:-1] + ("a", "l"), "arg"
+    )
     w_addr = m0.addr[:-1] + ("b",)
     cont = value_case_strategy(
         sigma, ctx.names, ctx.gamma, m0, w_addr,
         lambda payload: (PAIR, payload, STORE0),
         leaf.ty.tgt, sden(ctx.out_ty, ctx.k), ctx.k, "call",
     )
-    inner_ctx = SynthContext(
-        ctx.names, ctx.gamma + (leaf.ty.tgt,), ctx.out_ty, ctx.k, ctx.depth,
-        ctx.budget, ctx.fuel - 1,
-    )
-    m_a = synthesize(cont, inner_ctx)
+    m_a = synthesize(cont, _spend(ctx, gamma=ctx.gamma + (leaf.ty.tgt,)))
     call = S.App(leaf_term(leaf), arg_term)
     return S.App(S.Lam("y", leaf.ty.tgt, m_a), call)
 
@@ -994,12 +958,13 @@ def _arrow_leaf_for(ctx: SynthContext, m0: Move):
     raise SynthesisError(f"no arrow leaf at {leafpath}")
 
 
-def _value_term(sigma, ctx, init_pay, m0, ty: Type, pay, proj: tuple) -> S.Term:
-    """A term denoting the value component `pay` at type `ty`."""
+def _value_term(sigma, ctx, init_pay, m0, ty: Type, pay, addr: tuple, tag: str) -> S.Term:
+    """A term denoting the value component `pay` at type `ty` whose moves
+    live under `addr`: the returned value, or the argument of a call."""
     if isinstance(ty, Prod):
         return S.Pair(
-            _value_term(sigma, ctx, init_pay, m0, ty.left, pay[1], proj + ("l",)),
-            _value_term(sigma, ctx, init_pay, m0, ty.right, pay[2], proj + ("r",)),
+            _value_term(sigma, ctx, init_pay, m0, ty.left, pay[1], addr + ("l",), tag),
+            _value_term(sigma, ctx, init_pay, m0, ty.right, pay[2], addr + ("r",), tag),
         )
     if isinstance(ty, S.Nat):
         return S.Num(pay)
@@ -1008,50 +973,14 @@ def _value_term(sigma, ctx, init_pay, m0, ty: Type, pay, proj: tuple) -> S.Term:
     if isinstance(ty, Ref):
         return _name_term(ctx, init_pay, pay[0])
     if isinstance(ty, Arrow):
-        w_addr = ("b", "l") + proj + ("j",)
         cont = value_case_strategy(
-            sigma, ctx.names, ctx.gamma, m0, w_addr,
+            sigma, ctx.names, ctx.gamma, m0, addr + ("j",),
             lambda payload: (MERGE, (PAIR, payload, STORE0)),
-            ty.src, sden(ty.tgt, ctx.k), ctx.k, "body",
+            ty.src, sden(ty.tgt, ctx.k), ctx.k, tag,
         )
-        inner_ctx = SynthContext(
-            ctx.names, ctx.gamma + (ty.src,), ty.tgt, ctx.k, ctx.depth,
-            ctx.budget, ctx.fuel - 1,
-        )
-        body = synthesize(cont, inner_ctx)
+        body = synthesize(cont, _spend(ctx, gamma=ctx.gamma + (ty.src,), out_ty=ty.tgt))
         return S.Lam("y", ty.src, body)
     raise SynthesisError(f"cannot realize a value of type {ty}")
-
-
-def _value_term_for_argument(sigma, ctx, init_pay, m0, ty: Type, pay) -> S.Term:
-    """The argument value passed when interrogating a context function."""
-    def go(ty, pay, proj):
-        if isinstance(ty, Prod):
-            return S.Pair(
-                go(ty.left, pay[1], proj + ("l",)),
-                go(ty.right, pay[2], proj + ("r",)),
-            )
-        if isinstance(ty, S.Nat):
-            return S.Num(pay)
-        if isinstance(ty, S.Unit):
-            return S.Skip()
-        if isinstance(ty, Ref):
-            return _name_term(ctx, init_pay, pay[0])
-        if isinstance(ty, Arrow):
-            w_addr = m0.addr[:-1] + ("a", "l") + proj + ("j",)
-            cont = value_case_strategy(
-                sigma, ctx.names, ctx.gamma, m0, w_addr,
-                lambda payload: (MERGE, (PAIR, payload, STORE0)),
-                ty.src, sden(ty.tgt, ctx.k), ctx.k, "arg",
-            )
-            inner_ctx = SynthContext(
-                ctx.names, ctx.gamma + (ty.src,), ty.tgt, ctx.k, ctx.depth,
-                ctx.budget, ctx.fuel - 1,
-            )
-            return S.Lam("y", ty.src, synthesize(cont, inner_ctx))
-        raise SynthesisError(f"argument of type {ty}")
-
-    return go(ty, pay, ())
 
 
 def synthesize_term(

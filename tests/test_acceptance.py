@@ -18,6 +18,7 @@ from nurho.arenas import (
     STAR,
     STORE0,
     Tensor,
+    t_arena,
 )
 from nurho.machine import Config, Store as TermStore, evaluate, step
 from nurho.model import (
@@ -30,7 +31,6 @@ from nurho.model import (
     observable,
     sden,
     t_map,
-    t_of,
     upd,
 )
 from nurho.nominal import (
@@ -270,8 +270,8 @@ def test_3_combiner():
 
 @budgeted(60.0)
 def test_4_play_composition():
-    tN = t_of(sden(NAT, 1), 1)
-    t1 = t_of(One(), 1)
+    tN = t_arena(sden(NAT, 1), 1)
+    t1 = t_arena(One(), 1)
     gN = Names((NAT,))
     pool = [
         (drf(NAT, 1), identity(tN)),
@@ -335,12 +335,12 @@ def test_4_play_composition():
 
 @budgeted(120.0)
 def test_5_categorical_laws():
-    arenas = [One(), NatArena(), Names((NAT,)), t_of(One(), 1), t_of(sden(NAT, 1), 1)]
+    arenas = [One(), NatArena(), Names((NAT,)), t_arena(One(), 1), t_arena(sden(NAT, 1), 1)]
     pool = [
         Numeral(3),
         Up(NatArena()),
         drf(NAT, 1),
-        identity(t_of(One(), 1)),
+        identity(t_arena(One(), 1)),
         eta(NatArena(), 1),
     ]
     for s in pool:
@@ -360,7 +360,7 @@ def test_5_categorical_laws():
         assert strategy_equal(
             compose(Dn(Lift(a)), Dn(a)), compose(LiftF(Dn(a)), Dn(a)), 6, BUD
         )
-    for a in [t_of(One(), 1), Lift(NatArena())]:  # pointed arenas
+    for a in [t_arena(One(), 1), Lift(NatArena())]:  # pointed arenas
         assert strategy_equal(compose(Up(a), Pu(a)), identity(a), 6, BUD)
     assert strategy_equal(Pu(Lift(NatArena())), Dn(NatArena()), 6, BUD)
     # strength unit square
@@ -415,7 +415,7 @@ def test_6_store_diagrams():
     assert check_diagram("NR-3", k=1, depth=8, ty=NAT, ty2=UNIT, budget=BUD)
     assert check_diagram("SNR", k=1, depth=8, ty=UNIT, ty2=UNIT, budget=BUD)
     for a in [One(), sden(NAT, 1)]:
-        ta = t_of(a, 1)
+        ta = t_arena(a, 1)
         assert strategy_equal(compose(eta(ta, 1), mu(a, 1)), identity(ta), 8, BUD)
         assert strategy_equal(compose(t_map(eta(a, 1), 1), mu(a, 1)), identity(ta), 8, BUD)
         assert strategy_equal(
@@ -577,8 +577,8 @@ def test_8_correctness_corpus():
 
 @budgeted(120.0)
 def test_9_tidiness():
-    tN = t_of(sden(NAT, 1), 1)
-    for s in [identity(t_of(One(), 1)), drf(NAT, 1), upd(NAT, 1)]:
+    tN = t_arena(sden(NAT, 1), 1)
+    for s in [identity(t_arena(One(), 1)), drf(NAT, 1), upd(NAT, 1)]:
         assert check_tidy(s, bound=10, budget=BUD).ok, s.name
     for src in ["nu a:[N]. a := 1 ; !a", "0", "skip", "nu a:[N]. 0"]:
         t, _ = infer(parse_term(src))
@@ -598,8 +598,8 @@ def test_9_tidiness():
             t_map(NatFn(lambda n: max(0, n - 1), "pred"), 1),
             compose(t_map(eta(sden(NAT, 1), 1), 1), mu(sden(NAT, 1), 1)),
         ],
-        str(t_of(One(), 1)): [
-            identity(t_of(One(), 1)),
+        str(t_arena(One(), 1)): [
+            identity(t_arena(One(), 1)),
             compose(t_map(eta(One(), 1), 1), mu(One(), 1)),
         ],
     }
@@ -783,7 +783,7 @@ def test_11_worked_equivalence():
     # the well-bracketing obstruction: a test that has called the function
     # (and seen it call its argument) cannot answer the outer observation
     # while those questions are pending
-    rho_board = Board(sden(ty, k), t_of(NatArena(), k))
+    rho_board = Board(sden(ty, k), t_arena(NatArena(), k))
     call = (MERGE, (PAIR, STAR, STORE0))
     candidate = Play(rho_board, (
         Entry(SRC, Move((), STAR), None, ()),

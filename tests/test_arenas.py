@@ -32,6 +32,7 @@ from nurho.arenas import (
     mk_names,
     mk_tensor,
     p_arena,
+    sden,
     store_arena,
     t_arena,
     translate_type,
@@ -167,6 +168,32 @@ class TestArenaOrder:
     def test_hidden_lemma_d0_leq1_d1(self):
         t = Arrow(UNIT, UNIT)
         assert arena_leq(translate_type(t, 0), translate_type(t, 1), k=1)
+
+
+class TestDepthPolicies:
+    """The approximant (store values) and the saturated translation
+    (denotations) differ only in the depth of an arrow's components."""
+
+    N_TN = Imp(Tensor(NatArena(), Store(1)), Tensor(NatArena(), Store(1)))
+
+    def test_higher_order_arrow_at_depth_one(self):
+        t = Arrow(Arrow(NAT, NAT), NAT)
+        assert translate_type(t, 1) == Imp(
+            Tensor(One(), Store(1)), Tensor(NatArena(), Store(1))
+        )
+        assert sden(t, 1) == Imp(
+            Tensor(self.N_TN, Store(1)), Tensor(NatArena(), Store(1))
+        )
+
+    def test_first_order_arrow_agrees_at_depth_one(self):
+        assert translate_type(Arrow(NAT, NAT), 1) == self.N_TN
+        assert sden(Arrow(NAT, NAT), 1) == self.N_TN
+
+    def test_only_the_approximant_cuts_arrows_at_depth_zero(self):
+        assert translate_type(Arrow(NAT, NAT), 0) == One()
+        assert sden(Arrow(NAT, NAT), 0) == Imp(
+            Tensor(NatArena(), Store(0)), Tensor(NatArena(), Store(0))
+        )
 
 
 class TestStoreMoveClasses:

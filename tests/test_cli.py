@@ -94,6 +94,45 @@ class TestCheckCmd:
         assert code == 0 and "ok" in out
 
 
+class TestMalformedPlay:
+    """A play file of a shape the reader cannot use is an input error."""
+
+    SHAPES = {
+        "top-level-list": [],
+        "entries-not-a-list": {"board": {"src": "1", "tgt": "1"}, "entries": 5},
+        "entry-not-an-object": {"board": {"src": "1", "tgt": "1"}, "entries": ["x"]},
+        "board-not-an-object": {"board": 5, "entries": []},
+        "delta-not-a-list": {
+            "board": {"src": "1", "tgt": "1"},
+            "entries": [{"comp": "s", "move-path": [], "payload": "*",
+                         "justifier": None, "delta": 5}],
+        },
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        out = {}
+        for name, js in self.SHAPES.items():
+            out[name] = tmp_path / f"{name}.json"
+            out[name].write_text(json.dumps(js))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"board": {"src": "1", "tgt": "1"}, "entries": []}))
+        return out, good
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_check_play_exits_2(self, files, shape, capsys):
+        bad, _ = files
+        code, _, err = run(capsys, "check", "play", str(bad[shape]))
+        assert code == 2 and "cannot load play" in err
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_compose_exits_2(self, files, shape, capsys):
+        bad, good = files
+        for argv in ((bad[shape], good), (good, bad[shape])):
+            code, _, err = run(capsys, "compose", *map(str, argv))
+            assert code == 2 and "cannot load plays" in err
+
+
 class TestSynthCmd:
     def test_roundtrip(self, capsys):
         code, out, _ = run(capsys, "--table-depth", "6", "synth", "2")

@@ -1,6 +1,6 @@
 import pytest
 
-from nurho.arenas import Budget, Move, Names, NatArena, One, STORE0, Tensor
+from nurho.arenas import Budget, Move, Names, NatArena, One, STORE0, Tensor, t_arena
 from nurho.machine import Config, Store as TermStore, evaluate, step
 from nurho.model import (
     abs_strategy,
@@ -18,7 +18,6 @@ from nurho.model import (
     psi,
     sden,
     t_map,
-    t_of,
     tau,
     upd,
 )
@@ -55,7 +54,7 @@ def eqd(s1, s2, depth=6, budget=BUD):
 class TestStoreMonadLaws:
     def test_unit_laws_on_t1(self):
         a = One()
-        ta = t_of(a, 1)
+        ta = t_arena(a, 1)
         lhs = compose(eta(ta, 1), mu(a, 1))
         rhs = identity(ta)
         assert eqd(lhs, rhs)
@@ -64,7 +63,7 @@ class TestStoreMonadLaws:
 
     def test_mu_assoc_on_t1(self):
         a = One()
-        lhs = compose(mu(t_of(a, 1), 1), mu(a, 1))
+        lhs = compose(mu(t_arena(a, 1), 1), mu(a, 1))
         rhs = compose(t_map(mu(a, 1), 1), mu(a, 1))
         assert eqd(lhs, rhs)
 

@@ -1,7 +1,7 @@
 import pytest
 
-from nurho.arenas import Budget, MERGE, Move, Names, One, PAIR, STAR, STORE0
-from nurho.model import denote, drf, eta, nu_strategy, sden, t_of, upd
+from nurho.arenas import Budget, MERGE, Move, Names, One, PAIR, STAR, STORE0, t_arena
+from nurho.model import denote, drf, eta, nu_strategy, sden, upd
 from nurho.nominal import Atom, NameList
 from nurho.plays import Board, Entry, Play, SRC, TGT
 from nurho.strategies import (
@@ -35,7 +35,7 @@ def ctx_for(names=(), gamma=(), out_ty=UNIT, k=2, depth=8):
 
 class TestTidy:
     def test_identity_on_t1_is_tidy(self):
-        sigma = identity(t_of(One(), 1))
+        sigma = identity(t_arena(One(), 1))
         rep = check_tidy(sigma, bound=8, budget=BUD)
         assert rep.ok, str(rep.violations[:3])
 

@@ -12,22 +12,17 @@ import random
 import sys
 from typing import Optional
 
-from .arenas import Budget, MERGE, Move, Names, One, STORE0, Tensor
+from .arenas import Budget, Names, One
 from .machine import Config, Store as TermStore, evaluate
 from .model import denote, observable, sden
 from .nominal import Atom, NameList
 from .plays import (
-    Board,
-    Entry,
     Play,
-    SRC,
-    TGT,
     check_play,
     compose_plays,
     composable,
     play_from_json,
     play_to_json_full,
-    pview,
 )
 from .strategies import (
     Diagonal,
@@ -40,12 +35,11 @@ from .strategies import (
     extend_view,
     identity,
     o_extensions,
-    strategy_diff,
     strategy_leq,
     unit_intro_left,
     viewfunction,
 )
-from .tidy import SynthContext, check_tidy, is_finitary, synthesize_checked
+from .tidy import check_tidy, is_finitary, synthesize_checked
 from . import model
 from . import syntax as S
 from .syntax import Arrow, NAT, ParseError, Type, TypecheckError, UNIT, infer, parse_term, parse_type

@@ -38,9 +38,7 @@ from .syntax import (
     Term,
     Type,
     TypecheckError,
-    UNIT,
     all_atoms,
-    alpha_normal,
     is_value,
     rename_bound_atoms,
     seq,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,14 @@ def canonical_perm(x: Any) -> Permutation:
             counters[a.family] = k + 1
             mapping[a] = Atom(a.family, k)
     return _complete_to_permutation(mapping)
+
+
+def renaming(mapping: dict[Atom, Atom]) -> Permutation:
+    """Act by an injective map, uncompleted: on values whose atoms all lie in
+    its domain it agrees with every permutation extending it."""
+    pi = object.__new__(Permutation)
+    object.__setattr__(pi, "_map", {a: b for a, b in mapping.items() if a != b})
+    return pi
 
 
 def _complete_to_permutation(mapping: dict[Atom, Atom]) -> Permutation:

@@ -11,15 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arenas import Arena, Move, arena_str
+from .arenas import Arena, Move, arena_from_json, arena_str, arena_to_json
 from .nominal import (
     Atom,
     Permutation,
+    _complete_to_permutation,
     apply_perm,
     atoms_of,
-    canonical_perm,
+    family_permutations,
+    renaming,
     support,
 )
+from .syntax import parse_type
 
 SRC, TGT = "s", "t"
 
@@ -82,6 +85,8 @@ class Entry:
 class Play:
     board: Board
     entries: tuple[Entry, ...] = ()
+    # (renaming, per-family counts, canonical entries); see `canon`
+    _canon: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def _map_atoms_(self, pi: Permutation) -> "Play":
         return Play(self.board, tuple(e._map_atoms_(pi) for e in self.entries))
@@ -95,7 +100,22 @@ class Play:
         return len(self.entries)
 
     def append(self, e: Entry) -> "Play":
-        return Play(self.board, self.entries + (e,))
+        """The play followed by e; its canonical state grows by e alone."""
+        ren, counts, canon = self.canon()
+        if not all(a in ren for a in e.move.atoms + e.delta):
+            ren, counts = dict(ren), dict(counts)
+        state = (ren, counts, canon + (_canon_step(ren, counts, e),))
+        return Play(self.board, self.entries + (e,), state)
+
+    def canon(self) -> tuple[dict[Atom, Atom], dict, tuple[Entry, ...]]:
+        """The renaming of the atoms to 0, 1, ... per family in order of first
+        occurrence, the per-family counts, and the renamed entries."""
+        if self._canon is None:
+            ren: dict[Atom, Atom] = {}
+            counts: dict = {}
+            canon = tuple(_canon_step(ren, counts, e) for e in self.entries)
+            object.__setattr__(self, "_canon", (ren, counts, canon))
+        return self._canon
 
     def polarity(self, i: int) -> str:
         return self.board.label(self.entries[i].comp, self.entries[i].move)[0]
@@ -116,12 +136,8 @@ class Play:
         return out
 
     def canonical(self) -> tuple["Play", Permutation]:
-        pi = canonical_perm(self)
-        return apply_perm(pi, self), pi
-
-    def key(self):
-        c, _ = self.canonical()
-        return c.entries
+        ren, _, canon = self.canon()
+        return Play(self.board, canon), _complete_to_permutation(ren)
 
     def pretty(self) -> str:
         ns = self.nlists()
@@ -133,6 +149,20 @@ class Play:
             side = "  " * (0 if e.comp == SRC else 1)
             lines.append(f"{i:3} {side}{e.comp}:{e.move}{nl}  {o}{q}{ptr}")
         return "\n".join(lines)
+
+
+def _canon_step(ren: dict, counts: dict, e: Entry) -> Entry:
+    """Number e's new atoms after the ones in ren, in place; e renamed."""
+    moved = {}
+    for a in e.move.atoms + e.delta:
+        b = ren.get(a)
+        if b is None:
+            k = counts.get(a.family, 0)
+            counts[a.family] = k + 1
+            b = ren[a] = Atom(a.family, k)
+        if b.index != a.index:
+            moved[a] = b
+    return e._map_atoms_(renaming(moved)) if moved else e
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +543,6 @@ def set_tagged_classes(p: Play) -> tuple:
     shape = tuple(
         (e.comp, e.move, e.justifier, ns[i]) for i, e in enumerate(p.entries)
     )
-    from .nominal import family_permutations
-
     atoms = sorted(support(p), key=Atom._sort_key)
     best = None
     for pi in family_permutations(atoms):
@@ -567,8 +595,6 @@ def play_to_json(p: Play) -> dict:
 
 
 def _pay_from_json(js):
-    from .syntax import parse_type
-
     if isinstance(js, dict) and "atom" in js:
         return Atom(parse_type(js["atom"]), js["index"])
     if isinstance(js, dict) and "tuple" in js:
@@ -577,8 +603,6 @@ def _pay_from_json(js):
 
 
 def _addr_from_json(js):
-    from .syntax import parse_type
-
     out = []
     for step in js:
         out.append(parse_type(step["type"]) if isinstance(step, dict) else step)
@@ -586,14 +610,10 @@ def _addr_from_json(js):
 
 
 def board_to_json(b: Board) -> dict:
-    from .arenas import arena_to_json
-
     return {"src": arena_to_json(b.src), "tgt": arena_to_json(b.tgt)}
 
 
 def board_from_json(js) -> Board:
-    from .arenas import arena_from_json
-
     return Board(arena_from_json(js["src"]), arena_from_json(js["tgt"]))
 
 
@@ -606,8 +626,6 @@ def play_to_json_full(p: Play) -> dict:
 def play_from_json(js) -> Play:
     """Read a play in the form `play_to_json_full` writes.  A shape it
     cannot read raises ValueError."""
-    from .syntax import parse_type
-
     try:
         board = board_from_json(js["board"])
         entries = []

@@ -18,6 +18,7 @@ Three kinds of strategies cover everything downstream:
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -47,12 +48,15 @@ from .arenas import (
 )
 from .nominal import (
     Atom,
+    _complete_to_permutation,
     atoms_of,
     canonical_perm,
     fresh_atom,
+    orbit_canon,
+    renaming,
     support,
 )
-from .plays import Board, Entry, Play, SRC, TGT, pview, view_indices
+from .plays import Board, Entry, Play, SRC, TGT, check_play, view_indices
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,10 @@ def _freshen(r: Response, taboo: set[Atom]) -> Response:
             pool.add(b)
     if not mapping:
         return r
-    from .nominal import _complete_to_permutation
+    return r._map_atoms_(_complete_to_permutation(mapping))
 
-    pi = _complete_to_permutation(mapping)
-    return r._map_atoms_(pi)
+
+_UNSEEN = object()
 
 
 class Strategy:
@@ -125,19 +129,21 @@ class Strategy:
     def respond(self, view: Play) -> Optional[Response]:
         if len(view) % 2 != 1:
             raise OracleError(f"{self.name}: view length {len(view)} not odd")
-        canon, pi = view.canonical()
-        key = canon.entries
-        if key in self._memo:
-            r = self._memo[key]
-        else:
-            r = self.respond_raw(canon)
+        ren, _, key = view.canon()
+        r = self._memo.get(key, _UNSEEN)
+        if r is _UNSEEN:
+            r = self.respond_raw(Play(view.board, key))
             if r is not None and r.delta:
-                r = _freshen(r, set(support(canon)))
+                r = _freshen(r, set(ren.values()))
             self._memo[key] = r
-        if r is None:
-            return None
-        out = r._map_atoms_(pi.inverse())
-        return _freshen(out, set(support(view)))
+        if r is None or not (r.move.atoms or r.delta):
+            return r
+        back = {b: a for a, b in ren.items()}
+        if all(a in back for a in r._iter_atoms_()):
+            out = r._map_atoms_(renaming(back))
+        else:
+            out = r._map_atoms_(_complete_to_permutation(ren).inverse())
+        return _freshen(out, ren)
 
     def respond_raw(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
@@ -949,13 +955,9 @@ class TotalRestrict(Strategy):
     def __init__(self, inner: Strategy, init_pay):
         super().__init__(inner.board, f"{inner.name}|init")
         self.inner = inner
-        from .nominal import orbit_canon
-
         self.init_key = orbit_canon(init_pay)[0]
 
     def _matches(self, pay) -> bool:
-        from .nominal import orbit_canon
-
         return orbit_canon(pay)[0] == self.init_key
 
     def respond_raw(self, view):
@@ -992,6 +994,52 @@ class UEntry:
         )
 
 
+class Projection:
+    """Part i's projection of an interaction (its interfaces i-1 and i),
+    grown as the interaction grows, with the P-view at every projected
+    index: a play, which carries its canonical state, and its indices."""
+
+    def __init__(self, board: Board, i: int):
+        self.board, self.i = board, i
+        self.scanned = 0  # interaction entries seen
+        self.entries: list[Entry] = []
+        self.origins: list[int] = []  # projected index -> interaction index
+        self.is_p: list[bool] = []
+        self.views: list[tuple[Play, tuple[int, ...]]] = []
+        self.empty: tuple[Play, tuple[int, ...]] = (Play(board), ())
+
+    def _grow(self, base: tuple[Play, tuple[int, ...]], k: int):
+        """The view `base` followed by projected entry k."""
+        view, idx = base
+        e = self.entries[k]
+        j = None if e.justifier is None else idx.index(e.justifier)
+        return view.append(Entry(e.comp, e.move, j, e.delta)), idx + (k,)
+
+    def add(self, origin: int, e: Entry) -> None:
+        """Project entry `origin` of the interaction as e; its P-view is the
+        one before it plus e for a P-move, else the one at its justifier."""
+        m = len(self.entries)
+        self.entries.append(e)
+        self.origins.append(origin)
+        self.is_p.append(self.board.label(e.comp, e.move)[0] == "P")
+        j = e.justifier
+        if self.is_p[m]:
+            base = self.views[m - 1] if m else self.empty
+        elif j is None:
+            base = self.empty
+        elif self.is_p[j]:
+            base = self.views[j]
+        else:
+            base = self._grow(self.views[j - 1] if j else self.empty, j)
+        self.views.append(self._grow(base, m))
+
+    def truncate(self, origin: int) -> None:
+        """Forget the entries from interaction index `origin` on."""
+        m = bisect.bisect_left(self.origins, origin)
+        del self.entries[m:], self.origins[m:], self.is_p[m:], self.views[m:]
+        self.scanned = min(self.scanned, origin)
+
+
 class ChainStrategy(Strategy):
     """Composite of a chain of strategies, each on adjacent interfaces."""
 
@@ -1008,57 +1056,52 @@ class ChainStrategy(Strategy):
         self.step_budget = step_budget
 
     # -- projections ---------------------------------------------------------
-    def _project(self, u: list[UEntry], i: int) -> tuple[Play, list[int]]:
-        """The play strategy i (1-based) sees: interfaces i-1 and i."""
-        part = self.parts[i - 1]
-        lo, hi = i - 1, i
-        entries: list[Entry] = []
-        origins: list[int] = []
-        umap: dict[int, int] = {}
-        for idx, e in enumerate(u):
-            if e.iface not in (lo, hi):
+    def _project(self, u: list[UEntry], proj: Projection) -> Projection:
+        """Extend part proj.i's projection over the entries of u it has not
+        seen: the moves on its interfaces i-1 and i, with its own deltas."""
+        i = proj.i
+        for idx in range(proj.scanned, len(u)):
+            e = u[idx]
+            if e.iface not in (i - 1, i):
                 continue
-            comp = SRC if e.iface == lo else TGT
+            comp = SRC if e.iface == i - 1 else TGT
             j = e.justifier
             if j is not None:
-                if u[j].iface not in (lo, hi):
+                if u[j].iface not in (i - 1, i):
                     # only the initial-move cascade crosses interfaces
-                    if not (comp == SRC and part.board.src.is_initial(e.move)):
+                    if not (comp == SRC and proj.board.src.is_initial(e.move)):
                         raise OracleError("projection crosses the interface")
                     j = None
                 else:
-                    j = umap[j]
-            delta = e.delta if e.owner == i else ()
-            entries.append(Entry(comp, e.move, j, delta))
-            umap[idx] = len(entries) - 1
-            origins.append(idx)
-        return Play(part.board, tuple(entries)), origins
+                    j = bisect.bisect_left(proj.origins, j)
+            proj.add(idx, Entry(comp, e.move, j, e.delta if e.owner == i else ()))
+        proj.scanned = len(u)
+        return proj
 
     def _bounce(
-        self, u: list[UEntry], receiver: int, taboo: set[Atom]
+        self, u: list[UEntry], receiver: int, live: set[Atom], projs: list[Projection]
     ) -> Optional[tuple[int, list[int]]]:
         """Let strategies react until the ball leaves to an outer interface.
+        `live` holds every atom of u and grows with it; `projs` holds each
+        part's projection of u.
 
         Returns (index of the exit move in u, indices added) or None.
         """
         added: list[int] = []
         budget = self.step_budget or max(64, 16 * len(self.parts) * (len(u) + 2))
-        live = taboo | support(tuple(u))  # grows with every appended entry
         steps = 0
         n = len(self.parts)
         while True:
             steps += 1
             if steps > budget:
                 raise CompositionBudget(f"{self.name}: no exit within {budget} steps")
-            part = self.parts[receiver - 1]
-            play, origins = self._project(u, receiver)
-            r = part.respond(pview(play))
+            proj = self._project(u, projs[receiver - 1])
+            view, view_idx = proj.views[-1]
+            r = self.parts[receiver - 1].respond(view)
             if r is None:
                 return None
             # map the view justifier back to u
-            view_idx = view_indices(play)
-            play_j = view_idx[r.justifier]
-            u_j = origins[play_j]
+            u_j = proj.origins[view_idx[r.justifier]]
             iface = (receiver - 1) if r.comp == SRC else receiver
             r = _freshen(r, live)
             live.update(r.move.atoms)
@@ -1074,6 +1117,8 @@ class ChainStrategy(Strategy):
         u: list[UEntry] = []
         vmap: dict[int, int] = {}
         taboo = set(support(view))
+        live = set(taboo)
+        projs = [Projection(p.board, k) for k, p in enumerate(self.parts, 1)]
         for i in range(0, len(view), 2):
             e = view.entries[i]
             iface = 0 if e.comp == SRC else n
@@ -1081,26 +1126,27 @@ class ChainStrategy(Strategy):
             u.append(UEntry(iface, e.move, just, (), 0))
             vmap[i] = len(u) - 1
             receiver = 1 if iface == 0 else n
-            out = self._bounce(u, receiver, taboo)
+            out = self._bounce(u, receiver, live, projs)
             if out is None:
                 return None
             exit_idx, added = out
             deltas = tuple(
                 itertools.chain.from_iterable(u[j].delta for j in added)
             )
-            if i + 1 < len(view):
+            last = i + 1 == len(view)
+            if not last:
                 expected = view.entries[i + 1]
                 if len(deltas) != len(expected.delta):
                     raise OracleError(
                         f"{self.name}: delta arity mismatch replaying the view"
                     )
-                if deltas:
-                    mapping = dict(zip(deltas, expected.delta))
-                    from .nominal import _complete_to_permutation
-
-                    pi = _complete_to_permutation(mapping)
+                if deltas != expected.delta:
+                    pi = _complete_to_permutation(dict(zip(deltas, expected.delta)))
                     for j in added:
                         u[j] = u[j]._map_atoms_(pi)
+                    for proj in projs:
+                        proj.truncate(added[0])
+                    live = taboo | support(tuple(u))
             exit_entry = u[exit_idx]
             comp = SRC if exit_entry.iface == 0 else TGT
             if exit_entry.iface == n and self.board.tgt.is_initial(exit_entry.move):
@@ -1112,21 +1158,19 @@ class ChainStrategy(Strategy):
                     raise OracleError(
                         f"{self.name}: exit justifier hidden from the view"
                     )
-            if i + 1 < len(view):
-                expected = view.entries[i + 1]
-                if (comp, exit_entry.move, exit_jv) != (
-                    expected.comp,
-                    expected.move,
-                    expected.justifier,
-                ):
-                    raise OracleError(
-                        f"{self.name}: view replay mismatch at {i + 1}: got "
-                        f"{comp}:{exit_entry.move}@{exit_jv}, expected "
-                        f"{expected.comp}:{expected.move}@{expected.justifier}"
-                    )
-                vmap[i + 1] = exit_idx
-            else:
+            if last:
                 return Response(comp, exit_entry.move, exit_jv, deltas)
+            if (comp, exit_entry.move, exit_jv) != (
+                expected.comp,
+                expected.move,
+                expected.justifier,
+            ):
+                raise OracleError(
+                    f"{self.name}: view replay mismatch at {i + 1}: got "
+                    f"{comp}:{exit_entry.move}@{exit_jv}, expected "
+                    f"{expected.comp}:{expected.move}@{expected.justifier}"
+                )
+            vmap[i + 1] = exit_idx
         raise OracleError("even-length view fed to a strategy")
 
 
@@ -1157,7 +1201,7 @@ class Viewfunction:
     plays: dict = field(default_factory=dict, repr=False)
 
     def __contains__(self, play: Play) -> bool:
-        return play.canonical()[0].entries in self.table
+        return play.canon()[2] in self.table
 
     def __len__(self) -> int:
         return len(self.table)
@@ -1206,7 +1250,7 @@ def viewfunction(
             if r is None:
                 continue
             even = extend_view(odd, r)
-            key = even.canonical()[0].entries
+            key = even.canon()[2]
             if key in table:
                 continue
             table.add(key)
@@ -1229,10 +1273,10 @@ class TableStrategy(Strategy):
                 raise ValueError("viewfunction entries must be even-length")
             for cut in range(2, len(p) + 1, 2):
                 q = Play(board, p.entries[:cut])
-                ckey = Play(board, q.entries[:-1]).canonical()[0].entries
+                ckey = Play(board, q.entries[:-1]).canon()[2]
                 prev = self.by_prefix.get(ckey)
                 if prev is not None:
-                    if prev.canonical()[0].entries != q.canonical()[0].entries:
+                    if prev.canon()[2] != q.canon()[2]:
                         raise ValueError(
                             "determinacy collision inserting a table entry"
                         )
@@ -1240,7 +1284,7 @@ class TableStrategy(Strategy):
                 self.by_prefix[ckey] = q
 
     def respond_raw(self, view):
-        hit = self.by_prefix.get(view.canonical()[0].entries)
+        hit = self.by_prefix.get(view.canon()[2])
         if hit is None:
             return None
         # transport the stored answer onto this (canonical) view
@@ -1384,12 +1428,11 @@ def determinacy_fuzz(sigma: Strategy, depth: int, budget=None) -> Optional[str]:
             r = sigma.respond(odd)
             if r is None:
                 continue
-            ckey = odd.canonical()[0].entries
-            rkey = extend_view(odd, r).canonical()[0].entries
-            if ckey in seen and seen[ckey] != rkey:
-                return f"determinacy broken after {odd.pretty()}"
-            seen[ckey] = rkey
+            ckey = odd.canon()[2]
             even = extend_view(odd, r)
+            if ckey in seen and seen[ckey] != even.canon()[2]:
+                return f"determinacy broken after {odd.pretty()}"
+            seen[ckey] = even.canon()[2]
             if len(even) < depth:
                 frontier.append(even)
     return None
@@ -1402,8 +1445,6 @@ def determinacy_fuzz(sigma: Strategy, depth: int, budget=None) -> Optional[str]:
 
 def legal_o_extensions_of_play(p: Play, budget: Budget):
     """Opponent extensions of an even-length *play* (not just a view)."""
-    from .plays import check_play, oview, view_indices
-
     bd = p.board
     if len(p) == 0:
         yield from (Entry(SRC, m, None, ()) for m in enum_schemas(bd.src.initials(), budget))
@@ -1434,6 +1475,8 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
     chain = ChainStrategy([sigma, tau])
     n = 2
     u: list[UEntry] = []
+    live: set[Atom] = set()
+    projs = [Projection(sigma.board, 1), Projection(tau.board, 2)]
     composite = Play(chain.board)
     for _ in range(steps):
         opts = list(legal_o_extensions_of_play(composite, budget))
@@ -1446,10 +1489,13 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
             outer = [i for i, e in enumerate(u) if e.iface in (0, n)]
             u_j = outer[ext.justifier]
         u.append(UEntry(0 if ext.comp == SRC else n, ext.move, u_j, (), 0))
+        live.update(ext.move.atoms)
         receiver = 1 if ext.comp == SRC else n
-        out = chain._bounce(u, receiver, set(support(composite)))
+        out = chain._bounce(u, receiver, live, projs)
         if out is None:
             u.pop()
+            for proj in projs:
+                proj.truncate(len(u))
             break
         exit_idx, _ = out
         exit_entry = u[exit_idx]
@@ -1476,6 +1522,5 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
                       remap[j] if j is not None else None, delta)
             )
         composite = Play(chain.board, tuple(comp_entries))
-    s_play, _ = chain._project(u, 1)
-    t_play, _ = chain._project(u, n)
+    s_play, t_play = (Play(p.board, tuple(chain._project(u, p).entries)) for p in projs)
     return s_play, t_play, composite

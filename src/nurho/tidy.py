@@ -33,8 +33,8 @@ from .arenas import (
     sden,
     t_arena,
 )
-from .nominal import Atom, NameList, atoms_of, orbit_canon, support
-from .plays import Board, Entry, Play, SRC, TGT
+from .nominal import Atom, NameList, _complete_to_permutation, atoms_of, orbit_canon, support
+from .plays import Board, Entry, Play, SRC, TGT, pview
 from .strategies import (
     CndStrategy,
     Diagonal,
@@ -56,6 +56,8 @@ from .strategies import (
     identity,
     mirror,
     o_extensions,
+    pay_at,
+    strategy_diff,
     strategy_equal,
     unit_elim_right,
     viewfunction,
@@ -249,7 +251,7 @@ def trunc_table(sigma: Strategy, depth: int, budget=None) -> set:
     for play in vf.plays.values():
         if len(play) > 3:
             t = trunc_view(sigma.board, play)
-            out.add(t.canonical()[0].entries)
+            out.add(t.canon()[2])
     return out
 
 
@@ -262,11 +264,9 @@ def is_finitary(sigma: Strategy, depth: int = 8, budget=None) -> tuple[bool, int
 
 def restrict(sigma: Strategy, t: Play, depth: int = 10, budget=None) -> Strategy:
     """sigma|t : keep the branches truncating into a view of a prefix of t."""
-    from .plays import pview
-
     keys = set()
     for j in range(0, len(t.entries) + 1, 2):
-        keys.add(pview(Play(t.board, t.entries[:j])).canonical()[0].entries)
+        keys.add(pview(Play(t.board, t.entries[:j])).canon()[2])
 
     board = sigma.board
 
@@ -277,7 +277,7 @@ def restrict(sigma: Strategy, t: Play, depth: int = 10, budget=None) -> Strategy
                 return None
             even = extend_view(view, r)
             cut = trunc_view(board, even, primed=True)
-            if cut.canonical()[0].entries in keys:
+            if cut.canon()[2] in keys:
                 return r
             if len(even) == 2:
                 return r  # totality: keep default initial answers
@@ -326,8 +326,6 @@ def leaf_term(leaf: Leaf) -> S.Term:
 
 def leaf_payload(init_pay, leaf: Leaf):
     """Extract the leaf's component from the initial payload (⊗ names gval)."""
-    from .strategies import pay_at
-
     return pay_at(init_pay, ("r",) + leaf.gpath)
 
 
@@ -472,10 +470,7 @@ def strip_names_strategy(
                 r = sigma.respond(iview)
                 if r is None:
                     return None
-                mapping = dict(zip(r.delta, fresh_atoms))
-                from .nominal import _complete_to_permutation
-
-                pi = _complete_to_permutation(mapping)
+                pi = _complete_to_permutation(dict(zip(r.delta, fresh_atoms)))
                 moved = r._map_atoms_(pi)
                 return Response(moved.comp, moved.move, moved.justifier, ())
             r = sigma.respond(iview)
@@ -1011,8 +1006,6 @@ class SynthCertificate:
 def synthesize_checked(sigma, names, gamma, out_ty, k=2, depth=8, budget=None):
     term = synthesize_term(sigma, names, gamma, out_ty, k, depth, budget)
     d = denote(term, names, gamma, k)
-    from .strategies import strategy_diff
-
     eqs = strategy_equal(d, sigma, depth, budget)
     diffs = [] if eqs else strategy_diff(d, sigma, depth, budget)
     return SynthCertificate(term, depth, eqs, diffs)

@@ -5,8 +5,12 @@ module under `src/nurho` must be referenced somewhere in `src/`, `tests/`
 or `bench/` outside its own definition.  References are counted with a
 word-boundary search, so a use inside the name's own body (recursion, a
 docstring) does not keep it alive.
+
+No dead imports either: every name a module of the package imports must be
+read in the function, or module, whose body holds the import.
 """
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -50,3 +54,42 @@ def dead_names() -> list[str]:
 def test_every_public_name_is_referenced():
     assert SEARCHED, "no sources found"
     assert dead_names() == []
+
+
+def _imports(node, scope):
+    """(import statement, the function or module it binds its names in)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _imports(child, inner)
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for imp, scope in _imports(tree, tree):
+            if isinstance(imp, ast.ImportFrom) and imp.module == "__future__":
+                continue
+            used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            for alias in imp.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{module.stem}:{imp.lineno}:{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    """An imported name must be read in the scope that imports it."""
+    assert unused_imports() == []
+
+
+def test_every_traced_name_exists():
+    """The benchmark's tracer looks each target up in its owner's __dict__,
+    so renaming or deleting one breaks `bench/run.py --trace 1`."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for name, owner, attr, _ in tracing.TARGETS if attr not in vars(owner)]
+    assert tracing.TARGETS and missing == []

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nurho.arenas import (
     Imp,
@@ -15,7 +17,7 @@ from nurho.arenas import (
     Tensor,
     mk_imp,
 )
-from nurho.nominal import Atom, support
+from nurho.nominal import Atom, apply_perm, canonical_perm, support
 from nurho.plays import (
     Board,
     Entry,
@@ -213,3 +215,35 @@ def test_json_shape():
     js = play_to_json(p)
     assert js["entries"][1]["nlist"] == ["N#0", "N#1"]
     assert js["entries"][1]["justifier"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The canonical state a play carries through `append`
+# ---------------------------------------------------------------------------
+
+def _entries():
+    atom = st.builds(Atom, st.sampled_from([NAT, "1"]), st.integers(0, 4))
+    pay = st.recursive(
+        st.one_of(atom, st.integers(0, 2)), lambda c: st.tuples(c, c), max_leaves=4
+    )
+    return st.builds(
+        lambda comp, pay, delta: Entry(comp, Move(("q",), pay), 0, tuple(delta)),
+        st.sampled_from(["s", "t"]), pay, st.lists(atom, max_size=2),
+    )
+
+
+@given(st.lists(_entries(), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_appended_canonical_state_matches_structural(entries):
+    plays = [Play(Board(One(), One()))]
+    for e in entries:
+        plays.append(plays[-1].append(e))
+    # checked once all are built, so a later append must not disturb a prefix
+    for p in plays:
+        ren, counts, canon = p.canon()
+        pi = canonical_perm(p)
+        assert canon == apply_perm(pi, p).entries
+        assert set(ren) == support(p)
+        assert set(ren.values()) == support(canon)
+        assert p.canonical() == (Play(p.board, canon), pi)
+        assert Play(p.board, p.entries).canon() == (ren, counts, canon)

@@ -20,10 +20,13 @@ from nurho.arenas import (
     translate_type,
 )
 from nurho.nominal import Atom, apply_perm, atoms_of, canonical_perm
-from nurho.plays import Board, Entry, Play, SRC, TGT, check_play, is_innocent_play
+from nurho.plays import (
+    Board, Entry, Play, SRC, TGT, check_play, is_innocent_play, pview, view_indices,
+)
 from nurho.strategies import (
     Bang,
     Binom,
+    ChainStrategy,
     CndStrategy,
     Copycat,
     Diagonal,
@@ -39,6 +42,7 @@ from nurho.strategies import (
     Numeral,
     Pairing,
     PathProjection,
+    Projection,
     Pu,
     SeparateHead,
     St,
@@ -61,6 +65,7 @@ from nurho.strategies import (
     unit_intro_left,
     viewfunction,
 )
+from nurho import model
 from nurho.model import denote, eta, ev_t, sden
 from nurho.nominal import NameList
 from nurho.syntax import NAT, UNIT, Arrow, infer, parse_term
@@ -616,3 +621,44 @@ def test_zone_tables_cover_threads_and_store_variants():
         if len(v) > 1
     }
     assert seps == {False, True}
+
+
+def _scratch_projection(u, proj):
+    """The play part proj.i sees, projected afresh from the whole of u."""
+    i, at, entries = proj.i, {}, []
+    for idx, e in enumerate(u):
+        if e.iface in (i - 1, i):
+            j = None if e.justifier is None else at.get(e.justifier)
+            comp = SRC if e.iface == i - 1 else TGT
+            entries.append(Entry(comp, e.move, j, e.delta if e.owner == i else ()))
+            at[idx] = len(entries) - 1
+    return Play(proj.board, tuple(entries))
+
+
+def test_chain_views_grow_like_fresh_projections(monkeypatch):
+    """At every bounce step of the golden-table composites, the P-view a part
+    is asked on, grown one entry at a time, is the P-view of the projection
+    rebuilt from the whole interaction, and it carries that view's canonical
+    form.  Some replays rename the deltas they added."""
+    project, truncate = ChainStrategy._project, Projection.truncate
+    seen = {"steps": 0, "renamed": 0}
+
+    def checked_project(self, u, proj):
+        proj = project(self, u, proj)
+        play = _scratch_projection(u, proj)
+        view, idx = proj.views[-1]
+        assert view == pview(play) and list(idx) == view_indices(play)
+        assert view.canon()[2] == apply_perm(canonical_perm(view), view).entries
+        seen["steps"] += 1
+        return proj
+
+    def counted_truncate(self, origin):
+        seen["renamed"] += origin < self.scanned
+        truncate(self, origin)
+
+    monkeypatch.setattr(model, "_DEN_CACHE", {})  # fresh memos for the denotations
+    monkeypatch.setattr(ChainStrategy, "_project", checked_project)
+    monkeypatch.setattr(Projection, "truncate", counted_truncate)
+    for build in transformer_zoo().values():
+        viewfunction(build(), 8, GOLD)
+    assert seen["steps"] > 1000 and seen["renamed"] > 0, seen

@@ -19,6 +19,26 @@ Encoding conventions, fixed once for all modules:
   Store(k)    ((), '⊛'), questions (('q',), atom), stored values under
               ('v', C) for the questioned family C at depth k-1
 
+Every query on a move reads one walk of its address (`Arena._locate`).
+Each constructor's `_step` says how an address step enters a component:
+
+  step        component       polarity   level   initial moves
+  Tensor l/r  left / right    kept       +0      merged
+  Lift a      inner           kept       +2      own moves
+  Imp a       source          flipped    +1      merged
+  Imp b       target          kept       +2      own moves
+  Store v, C  value arena     kept       +2      own moves
+
+A merged component's initial moves are part of the parent's move (the
+tensor's pair, the arrow's j-question), so the walk rejects them.  The walk
+ends at the owner's initial move, a P-answer at the offsets' sum, or at its
+own level-1 question (Lift u, Imp j, Store q), an O-question one level
+deeper; each flip swaps the polarity.  The owner's `_kids` lists what its
+two kinds of move justify; `children` puts the consumed address in front.
+A move the walk cannot place is foreign: `has_move` is False, and `label`,
+`level` and `children` raise ForeignMove (DepthExceeded for a value move of
+a depth-0 store).
+
 The normalization pass applies the constructor identities (flat targets
 absorb, zero sources vanish, merge of merge becomes tensor-source merge),
 so equality of normalized expressions is the identification of
@@ -225,8 +245,8 @@ def schemas_contain(schemas: list[MoveSchema], m: Move) -> bool:
     return any(s.contains(m) for s in schemas)
 
 
-def _prefix(schemas: list[MoveSchema], tag) -> list[MoveSchema]:
-    return [MoveSchema((tag,) + s.addr, s.pays) for s in schemas]
+def _prefix(schemas: list[MoveSchema], prefix: tuple) -> list[MoveSchema]:
+    return [MoveSchema(prefix + s.addr, s.pays) for s in schemas]
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +260,59 @@ class Arena:
     def initial_schema(self) -> PaySchema:
         raise NotImplementedError
 
+    def _step(self, addr: tuple, i: int, pay):
+        """How the address step addr[i] enters a component: (component,
+        index past the step, polarity flips, level offset, the component's
+        initial moves are merged into ours).  None when addr[i:] is this
+        arena's own level-1 question.  Leaves have no steps."""
+        raise ForeignMove(f"{Move(addr[i:], pay)} not in {self}")
+
+    def _kids(self, m: Move) -> list[MoveSchema]:
+        """Schemas justified by one of this arena's own moves: its initial
+        move (address ()) or its level-1 question.  Leaves justify none."""
+        return []
+
+    # --- the walk ----------------------------------------------------------
+    def _locate(self, m: Move):
+        """Walk m's address down to the arena that owns m.  Returns (owner,
+        index where the owner's part of the address starts, the arena that
+        took the last step or None, m is the owner's question, polarity
+        flipped, level).  Raises ForeignMove when m is not a move here."""
+        addr, pay = m.addr, m.pay
+        a, i, n = self, 0, len(addr)
+        last, flip, level, merged = None, False, 0, False
+        while i < n:
+            step = a._step(addr, i, pay)
+            if step is None:
+                return a, i, last, True, flip, level + 1
+            last = a
+            a, i, flips, offset, merged = step
+            flip ^= flips
+            level += offset
+        if merged or not a.initial_schema().contains(pay):
+            raise ForeignMove(f"{m} not in {self}")
+        return a, i, last, False, flip, level
+
     def children(self, m: Move) -> list[MoveSchema]:
         """Schemas of the moves justified by m."""
-        raise NotImplementedError
+        owner, i, _, _, _, _ = self._locate(m)
+        return _prefix(owner._kids(Move(m.addr[i:], m.pay)), m.addr[:i])
 
     def label(self, m: Move) -> tuple[str, str]:
-        """Arena-intrinsic (O/P, Q/A) label."""
-        raise NotImplementedError
+        """Arena-intrinsic (O/P, Q/A) label: initial moves are P-answers and
+        questions O-questions, with the polarity flipped along the walk."""
+        _, _, _, question, flip, _ = self._locate(m)
+        return ("O" if question != flip else "P", "Q" if question else "A")
 
     def level(self, m: Move) -> int:
-        raise NotImplementedError
+        return self._locate(m)[5]
 
     def has_move(self, m: Move) -> bool:
-        raise NotImplementedError
+        try:
+            self._locate(m)
+        except (ForeignMove, DepthExceeded):
+            return False
+        return True
 
     def is_pointed(self) -> bool:
         """A unique (equivariant) initial move."""
@@ -285,18 +345,6 @@ class Zero(Arena):
     def initials(self):
         return []
 
-    def children(self, m):
-        raise ForeignMove(f"{m} not in 0")
-
-    def label(self, m):
-        raise ForeignMove(f"{m} not in 0")
-
-    def level(self, m):
-        raise ForeignMove(f"{m} not in 0")
-
-    def has_move(self, m):
-        return False
-
     def is_pointed(self):
         return False
 
@@ -305,25 +353,6 @@ class Zero(Arena):
 class One(Arena):
     def initial_schema(self):
         return ConstP(STAR)
-
-    def children(self, m):
-        self._check(m)
-        return []
-
-    def label(self, m):
-        self._check(m)
-        return ("P", "A")
-
-    def level(self, m):
-        self._check(m)
-        return 0
-
-    def has_move(self, m):
-        return m == Move((), STAR)
-
-    def _check(self, m):
-        if not self.has_move(m):
-            raise ForeignMove(f"{m} not in 1")
 
     def is_pointed(self):
         return True
@@ -337,25 +366,6 @@ class NatArena(Arena):
     def initial_schema(self):
         return NatP()
 
-    def children(self, m):
-        self._check(m)
-        return []
-
-    def label(self, m):
-        self._check(m)
-        return ("P", "A")
-
-    def level(self, m):
-        self._check(m)
-        return 0
-
-    def has_move(self, m):
-        return m.addr == () and NatP().contains(m.pay)
-
-    def _check(self, m):
-        if not self.has_move(m):
-            raise ForeignMove(f"{m} not in N")
-
     def is_pointed(self):
         return False
 
@@ -366,25 +376,6 @@ class Names(Arena):
 
     def initial_schema(self):
         return AtomTupleP(self.signature)
-
-    def children(self, m):
-        self._check(m)
-        return []
-
-    def label(self, m):
-        self._check(m)
-        return ("P", "A")
-
-    def level(self, m):
-        self._check(m)
-        return 0
-
-    def has_move(self, m):
-        return m.addr == () and AtomTupleP(self.signature).contains(m.pay)
-
-    def _check(self, m):
-        if not self.has_move(m):
-            raise ForeignMove(f"{m} not in names arena")
 
     def is_pointed(self):
         return False
@@ -398,46 +389,17 @@ class Tensor(Arena):
     def initial_schema(self):
         return TupleP(PAIR, (self.left.initial_schema(), self.right.initial_schema()))
 
-    def children(self, m):
-        if m.addr == ():
-            if not self.is_initial(m):
-                raise ForeignMove(f"{m} not initial in tensor")
-            _, pl, pr = m.pay
-            return (
-                _prefix(self.left.children(Move((), pl)), "l")
-                + _prefix(self.right.children(Move((), pr)), "r")
-            )
-        side, sub = self._split(m)
-        return _prefix(side.children(sub), m.addr[0])
+    def _step(self, addr, i, pay):
+        if addr[i] == "l":
+            return self.left, i + 1, False, 0, True
+        if addr[i] == "r":
+            return self.right, i + 1, False, 0, True
+        return super()._step(addr, i, pay)
 
-    def label(self, m):
-        if m.addr == ():
-            if not self.is_initial(m):
-                raise ForeignMove(f"{m} not initial in tensor")
-            return ("P", "A")
-        side, sub = self._split(m)
-        return side.label(sub)
-
-    def level(self, m):
-        if m.addr == ():
-            return 0
-        side, sub = self._split(m)
-        return side.level(sub)
-
-    def has_move(self, m):
-        if m.addr == ():
-            return self.is_initial(m)
-        if m.addr[0] not in ("l", "r"):
-            return False
-        side, sub = self._split(m)
-        return side.has_move(sub) and not side.is_initial(sub)
-
-    def _split(self, m):
-        if m.addr[0] == "l":
-            return self.left, Move(m.addr[1:], m.pay)
-        if m.addr[0] == "r":
-            return self.right, Move(m.addr[1:], m.pay)
-        raise ForeignMove(f"{m} not in tensor")
+    def _kids(self, m):
+        _, pl, pr = m.pay
+        return (_prefix(self.left._kids(Move((), pl)), ("l",))
+                + _prefix(self.right._kids(Move((), pr)), ("r",)))
 
     def is_pointed(self):
         return self.left.is_pointed() and self.right.is_pointed()
@@ -453,39 +415,17 @@ class Lift(Arena):
     def initial_schema(self):
         return ConstP(STAR1)
 
-    def children(self, m):
-        if m == Move((), STAR1):
-            return [MoveSchema(("u",), ConstP(STAR2))]
-        if m == Move(("u",), STAR2):
+    def _step(self, addr, i, pay):
+        if addr[i] == "a":
+            return self.inner, i + 1, False, 2, False
+        if addr[i] == "u" and i + 1 == len(addr) and pay == STAR2:
+            return None
+        return super()._step(addr, i, pay)
+
+    def _kids(self, m):
+        if m.addr:
             return [MoveSchema(("a",), self.inner.initial_schema())]
-        sub = self._inner_move(m)
-        return _prefix(self.inner.children(sub), "a")
-
-    def label(self, m):
-        if m == Move((), STAR1):
-            return ("P", "A")
-        if m == Move(("u",), STAR2):
-            return ("O", "Q")
-        return self.inner.label(self._inner_move(m))
-
-    def level(self, m):
-        if m == Move((), STAR1):
-            return 0
-        if m == Move(("u",), STAR2):
-            return 1
-        return 2 + self.inner.level(self._inner_move(m))
-
-    def has_move(self, m):
-        if m in (Move((), STAR1), Move(("u",), STAR2)):
-            return True
-        return bool(m.addr) and m.addr[0] == "a" and self.inner.has_move(
-            Move(m.addr[1:], m.pay)
-        )
-
-    def _inner_move(self, m):
-        if not m.addr or m.addr[0] != "a":
-            raise ForeignMove(f"{m} not in lift")
-        return Move(m.addr[1:], m.pay)
+        return [MoveSchema(("u",), ConstP(STAR2))]
 
     def is_pointed(self):
         return True
@@ -504,79 +444,23 @@ class Imp(Arena):
     def initial_schema(self):
         return ConstP(STAR)
 
-    def merged_schemas(self) -> list[MoveSchema]:
-        out = []
-        for s in self.src.initials():
-            assert s.addr == ()
-            out.append(MoveSchema(("j",), TupleP(MERGE, (s.pays,))))
-        return out
-
-    def children(self, m):
-        if m == Move((), STAR):
-            return self.merged_schemas()
-        if m.addr and m.addr[0] == "j":
-            if not self.has_move(m):
-                raise ForeignMove(f"{m} not in =>")
-            p_src = m.pay[1]
-            out = _prefix(self.src.children(Move((), p_src)), "a")
-            out.append(MoveSchema(("b",), self.tgt.initial_schema()))
-            return out
-        side, sub, tag = self._split(m)
-        return _prefix(side.children(sub), tag)
-
-    def label(self, m):
-        if m == Move((), STAR):
-            return ("P", "A")
-        if m.addr and m.addr[0] == "j":
-            self._check_merged(m)
-            return ("O", "Q")
-        side, sub, tag = self._split(m)
-        o, q = side.label(sub)
+    def _step(self, addr, i, pay):
+        tag = addr[i]
         if tag == "a":
-            o = "O" if o == "P" else "P"
-        return (o, q)
+            return self.src, i + 1, True, 1, True
+        if tag == "b":
+            return self.tgt, i + 1, False, 2, False
+        if (tag == "j" and i + 1 == len(addr) and isinstance(pay, tuple)
+                and len(pay) == 2 and pay[0] == MERGE
+                and self.src.initial_schema().contains(pay[1])):
+            return None
+        return super()._step(addr, i, pay)
 
-    def level(self, m):
-        if m == Move((), STAR):
-            return 0
-        if m.addr and m.addr[0] == "j":
-            self._check_merged(m)
-            return 1
-        side, sub, tag = self._split(m)
-        if tag == "a":
-            return 1 + side.level(sub)
-        return 2 + side.level(sub)
-
-    def has_move(self, m):
-        if m == Move((), STAR):
-            return True
-        if not m.addr:
-            return False
-        if m.addr[0] == "j":
-            return (
-                m.addr[1:] == ()
-                and isinstance(m.pay, tuple)
-                and len(m.pay) == 2
-                and m.pay[0] == MERGE
-                and self.src.initial_schema().contains(m.pay[1])
-            )
-        if m.addr[0] == "a":
-            sub = Move(m.addr[1:], m.pay)
-            return self.src.has_move(sub) and not self.src.is_initial(sub)
-        if m.addr[0] == "b":
-            return self.tgt.has_move(Move(m.addr[1:], m.pay))
-        return False
-
-    def _check_merged(self, m):
-        if not self.has_move(m):
-            raise ForeignMove(f"{m} not in =>")
-
-    def _split(self, m):
-        if m.addr and m.addr[0] == "a":
-            return self.src, Move(m.addr[1:], m.pay), "a"
-        if m.addr and m.addr[0] == "b":
-            return self.tgt, Move(m.addr[1:], m.pay), "b"
-        raise ForeignMove(f"{m} not in =>")
+    def _kids(self, m):
+        if m.addr:
+            return (_prefix(self.src._kids(Move((), m.pay[1])), ("a",))
+                    + [MoveSchema(("b",), self.tgt.initial_schema())])
+        return [MoveSchema(("j",), TupleP(MERGE, (self.src.initial_schema(),)))]
 
     def is_pointed(self):
         return True
@@ -605,62 +489,21 @@ class Store(Arena):
             raise ForeignMove(f"atom family {family!r} is not a type")
         return translate_type(family, self.depth - 1)
 
-    def children(self, m):
-        if m == Move((), STORE0):
+    def _step(self, addr, i, pay):
+        tag = addr[i]
+        if tag == "v" and i + 2 <= len(addr):
+            return self.component(addr[i + 1]), i + 2, False, 2, False
+        if tag == "q" and i + 1 == len(addr) and isinstance(pay, Atom):
+            return None
+        return super()._step(addr, i, pay)
+
+    def _kids(self, m):
+        if not m.addr:
             return [MoveSchema(("q",), AnyAtomP())]
-        if m.addr == ("q",):
-            if not isinstance(m.pay, Atom):
-                raise ForeignMove(f"{m} not a store question")
-            if self.depth <= 0:
-                return []
-            comp = self.component(m.pay.family)
-            return [
-                MoveSchema(("v", m.pay.family) + s.addr, s.pays)
-                for s in comp.initials()
-            ]
-        fam, sub = self._value_move(m)
-        comp = self.component(fam)
-        return [
-            MoveSchema(("v", fam) + s.addr, s.pays)
-            for s in comp.children(sub)
-        ]
-
-    def label(self, m):
-        if m == Move((), STORE0):
-            return ("P", "A")
-        if m.addr == ("q",):
-            return ("O", "Q")
-        fam, sub = self._value_move(m)
-        return self.component(fam).label(sub)
-
-    def level(self, m):
-        if m == Move((), STORE0):
-            return 0
-        if m.addr == ("q",):
-            return 1
-        fam, sub = self._value_move(m)
-        return 2 + self.component(fam).level(sub)
-
-    def has_move(self, m):
-        if m == Move((), STORE0):
-            return True
-        if m.addr == ("q",):
-            return isinstance(m.pay, Atom)
-        if len(m.addr) >= 2 and m.addr[0] == "v":
-            if self.depth <= 0:
-                return False
-            fam = m.addr[1]
-            if not isinstance(fam, Type):
-                return False
-            return self.component(fam).has_move(Move(m.addr[2:], m.pay))
-        return False
-
-    def _value_move(self, m):
-        if len(m.addr) >= 2 and m.addr[0] == "v":
-            if self.depth <= 0:
-                raise DepthExceeded("value move in a depth-0 store")
-            return m.addr[1], Move(m.addr[2:], m.pay)
-        raise ForeignMove(f"{m} not in store arena")
+        if self.depth <= 0:
+            return []
+        fam = m.pay.family
+        return [MoveSchema(("v", fam), self.component(fam).initial_schema())]
 
     def is_pointed(self):
         return True
@@ -744,10 +587,6 @@ def sden(t: Type, k: int) -> Arena:
     return _translate(t, k, sden, k)
 
 
-def store_arena(k: int) -> Arena:
-    return Store(k)
-
-
 def t_arena(value: Arena, k: int) -> Arena:
     """T A  =  store => A ⊗ store   at store depth k."""
     return mk_imp(Store(k), mk_tensor(value, Store(k)))
@@ -818,74 +657,34 @@ def _lower_levels_subset(a: Arena, b: Arena, k: int) -> bool:
 # Store-move classification
 # ---------------------------------------------------------------------------
 
-INITIAL, STORE_H, STORE_Q, STORE_A, PLAIN = (
-    "Initial", "StoreH", "StoreQ", "StoreA", "Plain"
-)
+INITIAL, STORE_H, STORE_Q, STORE_A = "Initial", "StoreH", "StoreQ", "StoreA"
 
 
 def classify_store_move(a: Arena, m: Move) -> str:
     """Partition of moves in model arenas: initial, store-handle,
-    store-question or store-answer."""
+    store-question or store-answer.  A question is classed by the arena that
+    owns it, any other move by the arena whose step led to it: a store's
+    questions and the values they open, and an arrow's opening question and
+    target answer when the arrow is T-shaped (a store on either side)."""
     if not a.has_move(m):
         raise ForeignMove(f"{m} not in {a}")
-    if a.is_initial(m):
+    owner, _, last, question, _, _ = a._locate(m)
+    if last is None and not question:
         return INITIAL
-    out = _classify(a, m)
-    if out == PLAIN:
+    host = owner if question else last
+    if isinstance(host, Store):
+        out = STORE_Q if question else STORE_A
+    elif isinstance(host, Imp) and (_holds_store(host.src) or _holds_store(host.tgt)):
+        out = STORE_H
+    else:
         raise ForeignMove(f"{m} is outside the store grammar of {a}")
     return out
 
 
-def _classify(a: Arena, m: Move) -> str:
-    if isinstance(a, (One, NatArena, Names, Zero)):
-        return PLAIN
+def _holds_store(a: Arena) -> bool:
     if isinstance(a, Tensor):
-        if m.addr == ():
-            return PLAIN
-        side, sub = a._split(m)
-        return _classify(side, sub)
-    if isinstance(a, Imp):
-        # only T-shapes (store on the source side) host store machinery
-        if m.addr == ():
-            return PLAIN
-        if m.addr[0] == "j":
-            return STORE_H if _imp_has_store(a) else PLAIN
-        if m.addr[0] == "b":
-            sub = Move(m.addr[1:], m.pay)
-            if a.tgt.is_initial(sub):
-                return STORE_H if _imp_has_store(a) else PLAIN
-            return _classify(a.tgt, sub)
-        side_move = Move(m.addr[1:], m.pay)
-        if isinstance(a.src, (Store, Tensor)):
-            return _classify(a.src, side_move)
-        return _classify(a.src, side_move)
-    if isinstance(a, Store):
-        if m.addr == ():
-            return PLAIN
-        if m.addr == ("q",):
-            return STORE_Q
-        fam, sub = a._value_move(m)
-        comp = a.component(fam)
-        if comp.is_initial(sub):
-            return STORE_A
-        return _classify(comp, sub)
-    if isinstance(a, Lift):
-        if m.addr and m.addr[0] == "a":
-            return _classify(a.inner, Move(m.addr[1:], m.pay))
-        return PLAIN
-    return PLAIN
-
-
-def _imp_has_store(a: Imp) -> bool:
-    """T-shaped arrows carry ⊛-handles; a plain exponential does not."""
-    def has_store(x: Arena) -> bool:
-        if isinstance(x, Store):
-            return True
-        if isinstance(x, Tensor):
-            return has_store(x.left) or has_store(x.right)
-        return False
-
-    return has_store(a.src) or has_store(a.tgt)
+        return _holds_store(a.left) or _holds_store(a.right)
+    return isinstance(a, Store)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,6 @@ class Permutation:
     def __call__(self, a: Atom) -> Atom:
         return self._map.get(a, a)
 
-    def carrier(self) -> frozenset[Atom]:
-        return frozenset(self._map)
-
     def is_identity(self) -> bool:
         return not self._map
 

@@ -630,6 +630,11 @@ def play_from_json(js) -> Play:
         board = board_from_json(js["board"])
         entries = []
         for e in js["entries"]:
+            if e["comp"] not in (SRC, TGT):
+                raise ValueError(f"not a play: component {e['comp']!r}")
+            j = e["justifier"]
+            if j is not None and (not isinstance(j, int) or isinstance(j, bool)):
+                raise ValueError(f"not a play: justifier {j!r}")
             delta = []
             for s in e.get("delta", []):
                 fam, idx = s.rsplit("#", 1)
@@ -638,7 +643,7 @@ def play_from_json(js) -> Play:
                 Entry(
                     e["comp"],
                     Move(_addr_from_json(e["move-path"]), _pay_from_json(e["payload"])),
-                    e["justifier"],
+                    j,
                     tuple(delta),
                 )
             )

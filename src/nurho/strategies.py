@@ -27,6 +27,7 @@ from .arenas import (
     Arena,
     Budget,
     DepthExceeded,
+    ForeignMove,
     Imp,
     Lift,
     MERGE,
@@ -1346,72 +1347,50 @@ class TotalityClass:
 
 
 def classify(sigma: Strategy, depth: int = 6, budget=None) -> TotalityClass:
-    """Bounded verification of the totality classes."""
+    """Bounded verification of the totality classes.  The starred classes,
+    for a tensor source, ask the same of the source's right component."""
     budget = budget or Budget()
     vf = viewfunction(sigma, depth, budget)
+    src, tgt = sigma.board.src, sigma.board.tgt
     total = True
     for ext in o_extensions(Play(sigma.board), budget):
         if sigma.respond(Play(sigma.board, (ext,))) is None:
             total = False
-    t4 = total
-    ttotal_extra = total
-    l4 = total
-    starred = None
-    # t4 / ttotal: responses to [i_A i_B j_B]
-    for key, play in vf.plays.items():
-        if len(play) < 2:
-            continue
-        two = Play(sigma.board, play.entries[:2])
+    t4 = ttotal_extra = l4 = t4s = l4s = total
+    # t4 / ttotal / t4*: responses to [i_A i_B j_B]
+    twos = dict.fromkeys(p.entries[:2] for p in vf.plays.values() if len(p) >= 2)
+    for entries in twos:
+        two = Play(sigma.board, entries)
         here = budget.with_atoms(sorted(support(two), key=Atom._sort_key))
         for ext in o_extensions(two, here):
-            if ext.comp != TGT:
-                continue
-            if sigma.board.tgt.level(ext.move) != 1:
+            if ext.comp != TGT or tgt.level(ext.move) != 1:
                 continue
             r = sigma.respond(two.append(ext))
-            if r is None or r.comp != SRC or sigma.board.src.level(r.move) != 1:
-                t4 = False
-                ttotal_extra = False
+            if r is None or r.comp != SRC:
+                t4 = ttotal_extra = t4s = False
+                continue
+            if src.level(r.move) != 1:
+                t4 = ttotal_extra = False
             elif r.delta:
                 ttotal_extra = False
-    # l4: any view ending with a source level-1 move has length exactly 4
-    for key, play in vf.plays.items():
+            if r.move.addr[:1] != ("r",):
+                t4s = False
+    # l4 / l4*: any view ending with a source level-1 move has length exactly 4
+    for play in vf.plays.values():
         last = play.entries[-1]
-        if last.comp == SRC:
-            try:
-                lvl = sigma.board.src.level(last.move)
-            except Exception:
-                continue
-            if lvl == 1 and len(play) != 4:
-                l4 = False
+        if last.comp != SRC or len(play) == 4:
+            continue
+        try:
+            lvl = src.level(last.move)
+        except (ForeignMove, DepthExceeded):
+            continue
+        if lvl == 1:
+            l4 = False
+            if last.move.addr[:1] == ("r",):
+                l4s = False
     tl4 = t4 and l4
     ttotal = tl4 and ttotal_extra
-    if isinstance(sigma.board.src, Tensor):
-        l4s = total
-        t4s = total
-        for key, play in vf.plays.items():
-            last = play.entries[-1]
-            if last.comp == SRC and last.move.addr[:1] == ("r",):
-                try:
-                    lvl = sigma.board.src.right.level(
-                        Move(last.move.addr[1:], last.move.pay)
-                    )
-                except Exception:
-                    continue
-                if lvl == 1 and len(play) != 4:
-                    l4s = False
-        for key, play in vf.plays.items():
-            if len(play) < 2:
-                continue
-            two = Play(sigma.board, play.entries[:2])
-            here = budget.with_atoms(sorted(support(two), key=Atom._sort_key))
-            for ext in o_extensions(two, here):
-                if ext.comp != TGT or sigma.board.tgt.level(ext.move) != 1:
-                    continue
-                r = sigma.respond(two.append(ext))
-                if r is None or r.comp != SRC or r.move.addr[:1] != ("r",):
-                    t4s = False
-        starred = (l4s, t4s, l4s and t4s)
+    starred = (l4s, t4s, l4s and t4s) if isinstance(src, Tensor) else None
     return TotalityClass(total, l4, t4, tl4, ttotal, starred, depth)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nurho.arenas import (
@@ -8,10 +10,12 @@ from nurho.arenas import (
     Imp,
     INITIAL,
     Lift,
+    MERGE,
     Move,
     Names,
     NatArena,
     One,
+    PAIR,
     STAR,
     STAR1,
     STAR2,
@@ -33,7 +37,6 @@ from nurho.arenas import (
     mk_tensor,
     p_arena,
     sden,
-    store_arena,
     t_arena,
     translate_type,
 )
@@ -108,7 +111,7 @@ class TestTypeTranslation:
             t_arena(One(), 1),
             translate_type(Arrow(NAT, NAT), 2),
             p_arena((NAT,), NatArena()),
-            store_arena(1),
+            Store(1),
         ]
         for a in zoo:
             assert check_wellformed(a, BUD) == [], str(a)
@@ -116,26 +119,26 @@ class TestTypeTranslation:
 
 class TestStoreArena:
     def test_depth_zero_questions_have_no_answers(self):
-        xi = store_arena(0)
+        xi = Store(0)
         q = Move(("q",), aN)
         assert xi.justifies(Move((), STORE0), q)
         assert list(enum_schemas(xi.children(q), BUD)) == []
 
     def test_depth_one_numeric_answers(self):
-        xi = store_arena(1)
+        xi = Store(1)
         q = Move(("q",), aN)
         kids = list(enum_schemas(xi.children(q), BUD))
         assert Move(("v", NAT), 0) in kids
         assert Move(("v", NAT), 2) in kids
 
     def test_labels(self):
-        xi = store_arena(1)
+        xi = Store(1)
         assert xi.label(Move((), STORE0)) == ("P", "A")
         assert xi.label(Move(("q",), aN)) == ("O", "Q")
         assert xi.label(Move(("v", NAT), 1)) == ("P", "A")
 
     def test_any_family_questions(self):
-        xi = store_arena(1)
+        xi = Store(1)
         arrow_atom = Atom(Arrow(UNIT, UNIT), 0)
         assert xi.has_move(Move(("q",), arrow_atom))
 
@@ -163,7 +166,7 @@ class TestArenaOrder:
                 assert arena_leq(lo, hi), (t, k)
                 assert arena_leq(lo, hi, k=1), (t, k)
         for k in range(3):
-            assert arena_leq(store_arena(k), store_arena(k + 1), k=1)
+            assert arena_leq(Store(k), Store(k + 1), k=1)
 
     def test_hidden_lemma_d0_leq1_d1(self):
         t = Arrow(UNIT, UNIT)
@@ -230,3 +233,117 @@ class TestStoreMoveClasses:
 def test_describe_runs():
     out = describe(t_arena(One(), 1))
     assert "⇒" in out and "⊛" in out
+
+
+# ---------------------------------------------------------------------------
+# Every arena query, pinned
+# ---------------------------------------------------------------------------
+
+N_N = Arrow(NAT, NAT)
+DIGEST_TYPES = (UNIT, NAT, Ref(NAT), Ref(N_N), N_N, Arrow(N_N, NAT),
+                Prod(NAT, Arrow(UNIT, NAT)))
+DIGEST_BUDGET = Budget(max_nat=1, atoms=(aN,), fresh_per_family=1, families=(NAT, N_N))
+TAGS = ("l", "r", "a", "b", "j", "u", "q", "v")
+PAYS = (STAR, STAR1, STAR2, STORE0, 7, aN, (MERGE, STAR), (PAIR, STAR, STORE0))
+
+
+def digest_arenas():
+    out = [a for t in DIGEST_TYPES for k in range(3)
+           for a in (translate_type(t, k), sden(t, k), t_arena(sden(t, k), k))]
+    out += [Store(k) for k in range(3)]
+    out += [Lift(Lift(NatArena())),
+            Imp(Lift(NatArena()), Store(1)),
+            Imp(Tensor(Names((NAT,)), Store(1)), Imp(NatArena(), One()))]
+    return list(dict.fromkeys(out))
+
+
+def enumerated(a, max_level=5, cap=150):
+    """Moves of `a` in breadth-first order, to `max_level`, at most `cap`."""
+    out, seen = [], set()
+    frontier = list(enum_schemas(a.initials(), DIGEST_BUDGET))
+    while frontier and len(out) < cap:
+        m = frontier.pop(0)
+        if m in seen:
+            continue
+        seen.add(m)
+        out.append(m)
+        if a.level(m) < max_level:
+            try:
+                frontier.extend(enum_schemas(a.children(m), DIGEST_BUDGET))
+            except DepthExceeded:
+                pass
+    return out
+
+
+def mutations(m):
+    """Moves one edit away from m: an address step added, dropped or
+    replaced, a value component put in front, another payload, or a part of
+    a pair or merged payload put at its component's address."""
+    addr, pay = m.addr, m.pay
+    out = [Move(addr + ("a",), pay), Move(addr + ("x",), pay),
+           Move(("v", "x") + addr, pay), Move(("v", NAT) + addr, pay)]
+    if addr:
+        out.append(Move(addr[:-1], pay))
+        out += [Move((t,) + addr[1:], pay) for t in TAGS if t != addr[0]]
+    if isinstance(pay, tuple) and pay[:1] == (PAIR,):
+        out += [Move(addr + ("l",), pay[1]), Move(addr + ("r",), pay[2])]
+    if isinstance(pay, tuple) and pay[:1] == (MERGE,):
+        out.append(Move(addr[:-1] + ("a",), pay[1]))
+    out += [Move(addr, p) for p in PAYS if p != pay]
+    return out
+
+
+def answer(f, *args):
+    try:
+        return repr(f(*args))
+    except (ForeignMove, DepthExceeded) as e:
+        return type(e).__name__
+
+
+def query_lines(a, m, probes=()):
+    if not a.has_move(m):
+        return [f"{m} foreign initial={answer(a.is_initial, m)} "
+                f"class={answer(classify_store_move, a, m)}"]
+    kids = answer(a.children, m)
+    just = kids
+    if kids.startswith("["):
+        just = "".join("1" if a.justifies(m, p) else "0" for p in probes)
+    return [f"{m} label={answer(a.label, m)} level={answer(a.level, m)} "
+            f"initial={answer(a.is_initial, m)} class={answer(classify_store_move, a, m)}",
+            f"  children={kids} justifies={just}"]
+
+
+def test_arena_queries_digest():
+    """has_move, label, level, children, is_initial, justifies and
+    classify_store_move on the moves of 43 arenas to level 5 and on every
+    mutation of them.  A mutation the arena rejects records only has_move,
+    is_initial and the class."""
+    lines, probed = [], 0
+    for a in digest_arenas():
+        lines.append(str(a))
+        moves = enumerated(a)
+        for m in moves:
+            edits = mutations(m)
+            lines += query_lines(a, m, edits + moves[:20])
+            for p in edits:
+                lines += query_lines(a, p)
+            probed += 1 + len(edits)
+    assert probed == 16488
+    got = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert got == "07e0305c376ba1f4c21f46d7707d3c5f"
+
+
+def test_foreign_moves_have_no_label_level_or_children():
+    """Where has_move is False, label, level and children raise: ForeignMove,
+    or DepthExceeded for a value move of a depth-0 store."""
+    arenas = digest_arenas() + [Tensor(NatArena(), Lift(One()))]
+    for a in arenas:
+        probes = [Move((), 7), Move(("l",), 0), Move(("q",), 7)]
+        probes += [p for m in enumerated(a, cap=60) for p in mutations(m)]
+        for p in probes:
+            if a.has_move(p):
+                continue
+            for query in (a.label, a.level, a.children):
+                with pytest.raises((ForeignMove, DepthExceeded)) as e:
+                    query(p)
+                assert e.type is ForeignMove or "v" in p.addr, (a, p, query)

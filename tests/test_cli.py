@@ -107,6 +107,18 @@ class TestMalformedPlay:
             "entries": [{"comp": "s", "move-path": [], "payload": "*",
                          "justifier": None, "delta": 5}],
         },
+        "justifier-not-an-int": {
+            "board": {"src": "1", "tgt": "1"},
+            "entries": [{"comp": "s", "move-path": [], "payload": "*",
+                         "justifier": None},
+                        {"comp": "t", "move-path": [], "payload": "*",
+                         "justifier": "0"}],
+        },
+        "comp-not-s-or-t": {
+            "board": {"src": "1", "tgt": "1"},
+            "entries": [{"comp": "x", "move-path": [], "payload": "*",
+                         "justifier": None}],
+        },
     }
 
     @pytest.fixture

@@ -8,6 +8,11 @@ docstring) does not keep it alive.
 
 No dead imports either: every name a module of the package imports must be
 read in the function, or module, whose body holds the import.
+
+No dead methods: every method of a class of the package must be read as an
+attribute (`x.name`) somewhere in `src/`, `tests/` or `bench/`, or be named
+by a string of the benchmark's tracer, which patches methods by name.
+Special methods (`__eq__`, ...) are called by the language and exempt.
 """
 import ast
 import importlib.util
@@ -83,6 +88,37 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     """An imported name must be read in the scope that imports it."""
     assert unused_imports() == []
+
+
+def _read_attributes() -> set[str]:
+    read = set()
+    for path in SEARCHED:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    tracer = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    read |= {n.value for n in ast.walk(tracer)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return read
+
+
+def dead_methods() -> list[str]:
+    read = _read_attributes()
+    dead = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(module.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                        and fn.name not in read):
+                    dead.append(f"{module.stem}.{cls.name}.{fn.name}")
+    return dead
+
+
+def test_every_method_is_read():
+    assert dead_methods() == []
 
 
 def test_every_traced_name_exists():

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterator, Optional
 
-from .nominal import Atom, Permutation, apply_perm, atoms_of
-from .syntax import Arrow, NAT, Nat, Prod, Ref, Type, UNIT, Unit
+from .nominal import Atom, Permutation, apply_perm, atoms_of, fresh_atom
+from .syntax import Arrow, NAT, Nat, Prod, Ref, Type, UNIT, Unit, parse_type, type_str
 
 STAR = "*"
 STAR1 = "*1"
@@ -126,8 +126,6 @@ class Budget:
         have = [a for a in self.atoms if a.family == family]
         used = set(self.atoms)
         for _ in range(self.fresh_per_family):
-            from .nominal import fresh_atom
-
             a = fresh_atom(family, used)
             used.add(a)
             have.append(a)
@@ -189,17 +187,18 @@ class AtomTupleP(PaySchema):
 
 @dataclass(frozen=True)
 class AnyAtomP(PaySchema):
-    """A single atom of any family in the budget (store questions)."""
+    """A single atom of any type family in the budget (store questions)."""
 
     def contains(self, pay):
-        return isinstance(pay, Atom)
+        return isinstance(pay, Atom) and isinstance(pay.family, Type)
 
     def enum(self, budget):
         fams = list(dict.fromkeys(
             tuple(budget.families) + tuple(a.family for a in budget.atoms)
         ))
         for f in fams:
-            yield from budget.atoms_for(f)
+            if isinstance(f, Type):
+                yield from budget.atoms_for(f)
 
 
 @dataclass(frozen=True)
@@ -493,7 +492,7 @@ class Store(Arena):
         tag = addr[i]
         if tag == "v" and i + 2 <= len(addr):
             return self.component(addr[i + 1]), i + 2, False, 2, False
-        if tag == "q" and i + 1 == len(addr) and isinstance(pay, Atom):
+        if tag == "q" and i + 1 == len(addr) and AnyAtomP().contains(pay):
             return None
         return super()._step(addr, i, pay)
 
@@ -778,8 +777,6 @@ def describe(a: Arena, budget: Optional[Budget] = None, max_level: int = 3) -> s
 # ---------------------------------------------------------------------------
 
 def arena_to_json(a: Arena):
-    from .syntax import type_str
-
     if isinstance(a, Zero):
         return "0"
     if isinstance(a, One):
@@ -801,8 +798,6 @@ def arena_to_json(a: Arena):
 
 
 def arena_from_json(js) -> Arena:
-    from .syntax import parse_type
-
     if js == "0":
         return Zero()
     if js == "1":

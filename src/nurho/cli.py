@@ -36,6 +36,7 @@ from .strategies import (
     identity,
     o_extensions,
     strategy_leq,
+    unit_elim_left,
     unit_intro_left,
     viewfunction,
 )
@@ -45,11 +46,8 @@ from . import syntax as S
 from .syntax import Arrow, NAT, ParseError, Type, TypecheckError, UNIT, infer, parse_term, parse_type
 
 
-def _budget(args, names=(), families=()) -> Budget:
-    fams = tuple(dict.fromkeys(tuple(families) + (UNIT, NAT)))
-    return Budget(
-        max_nat=2, atoms=tuple(names), fresh_per_family=1, families=fams
-    )
+def _budget(*families) -> Budget:
+    return Budget(max_nat=2, families=tuple(dict.fromkeys(families + (UNIT, NAT))))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -106,7 +104,7 @@ def cmd_denote(args) -> int:
     term, ty = _load_term(args.term)
     k = args.depth if args.depth is not None else None
     sigma = denote(term, k=k)
-    bud = _budget(args, families=(ty,))
+    bud = _budget(ty)
     vf = viewfunction(sigma, args.table_depth, bud)
     plays = [play_to_json_full(p) for p in vf.plays.values()]
     human = [f"viewfunction of |- {term} : {ty} ({len(vf)} canonical views)"]
@@ -159,7 +157,7 @@ def cmd_check(args) -> int:
         return 0 if rep.equal else 1
     term, ty = _load_term(args.target)
     sigma = denote(term, k=args.depth)
-    bud = _budget(args, families=(ty,))
+    bud = _budget(ty)
     if args.what == "strategy":
         cls = classify(sigma, depth=6, budget=bud)
         collision = determinacy_fuzz(sigma, 6, bud)
@@ -186,7 +184,7 @@ def cmd_synth(args) -> int:
     term, ty = _load_term(args.term)
     k = args.depth or 2
     sigma = denote(term, k=k)
-    bud = _budget(args, families=(ty,))
+    bud = _budget(ty)
     fin, size = is_finitary(sigma, depth=args.table_depth, budget=bud)
     cert = synthesize_checked(
         sigma, NameList(), (), ty, k, args.table_depth, bud
@@ -216,8 +214,6 @@ def cmd_synth(args) -> int:
 def _lam_hat(f, names: NameList, arrow_ty: Type, k: int):
     """Curry a closed denotation into the test position:
     names⊗1 -> names ⊗ [[1 -> B]]."""
-    from .strategies import unit_elim_left
-
     n_arena = Names(tuple(a.family for a in names)) if names else One()
     curry_src = compose(
         assoc_rt(n_arena, One(), One()),
@@ -276,7 +272,7 @@ def cmd_equiv(args) -> int:
         return 2
     k = args.depth or 2
     depth = args.table_depth
-    bud = _budget(args, families=(m_ty,))
+    bud = _budget(m_ty)
     dm = denote(m_term, k=k)
     dn = denote(n_term, k=k)
     leq = strategy_leq(dm, dn, depth, bud)
@@ -329,7 +325,7 @@ def cmd_equiv(args) -> int:
 def cmd_repl(args) -> int:
     term, ty = _load_term(args.term)
     sigma = denote(term, k=args.depth)
-    bud = _budget(args, families=(ty,))
+    bud = _budget(ty)
     view = Play(sigma.board)
     print(f"board: {sigma.board}")
     print("pick opponent moves by number; q quits.\n")

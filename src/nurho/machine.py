@@ -142,28 +142,16 @@ def _decompose(t: Term) -> Optional[tuple[list, Term]]:
     """
     if is_value(t):
         return None
-    if isinstance(t, (Pred, Succ, Fst, Snd, Deref)):
-        inner = t.body if not isinstance(t, Deref) else t.ref
-        if is_value(inner):
-            return [], t
-        sub = _decompose(inner)
-        if sub is None:
-            return None
-        fname = "ref" if isinstance(t, Deref) else "body"
-        sub[0].insert(0, (t, fname))
-        return sub
+    if isinstance(t, (Pred, Succ, Fst, Snd)):
+        return _first_of(t, [("body", t.body)])
+    if isinstance(t, Deref):
+        return _first_of(t, [("ref", t.ref)])
     if isinstance(t, EqTest):
         return _first_of(t, [("left", t.left), ("right", t.right)])
     if isinstance(t, Assign):
         return _first_of(t, [("ref", t.ref), ("value", t.value)])
     if isinstance(t, If0):
-        if is_value(t.scrutinee):
-            return [], t
-        sub = _decompose(t.scrutinee)
-        if sub is None:
-            return None
-        sub[0].insert(0, (t, "scrutinee"))
-        return sub
+        return _first_of(t, [("scrutinee", t.scrutinee)])
     if isinstance(t, App):
         return _first_of(t, [("fn", t.fn), ("arg", t.arg)])
     if isinstance(t, Pair):

@@ -8,8 +8,12 @@ determinacy up to renaming and keeps fresh-name choices reproducible.
 Three kinds of strategies cover everything downstream:
 
 * machines: a small prelude automaton plus *copycat zones*, the uniform
-  mechanism behind identities, projections, the lifting monad pieces and
-  the reference primitives;
+  mechanism behind the lifting monad pieces and the reference primitives.
+  One machine, `Answer`, is every strategy that only answers the initial
+  move (identities, projections, the diagonal, the structural
+  isomorphisms, constants): it answers with a function of the initial
+  payload, refused when outside the target's initial schema, and copies
+  moves between fixed prefixes from then on;
 * view transformers: combinators (pairing, tensor, lifting, currying,
   head separation) on one engine that renames the view zone by zone into
   an inner strategy's view and the inner answer back;
@@ -173,30 +177,33 @@ class Zone:
         return Zone(self.tgt_comp, self.tgt_prefix, o_idx, self.own_comp, self.own_prefix)
 
 
-NO_RESPONSE = "no-response"
-
-
 class MachineStrategy(Strategy):
     """Prelude hook + generic zone mirroring.
 
-    `prelude(view, i, links)` inspects the O-move at index i and returns a
-    (Response, zones) pair, NO_RESPONSE, or None to fall through to the
-    zone machinery.  Zones returned are anchored at the response's index.
+    `prelude(view, i)` inspects the O-move at index i and returns a
+    (Response, zones) pair, or None to fall through to the zone machinery.
+    Zones returned are anchored at the response's index.
     """
 
-    def prelude(self, view, i, links):
-        raise NotImplementedError
+    def prelude(self, view, i):
+        return None
 
     def respond_raw(self, view: Play) -> Optional[Response]:
-        links: dict[int, list[Zone]] = {}
-        for k in range(1, len(view) + 1, 2):
-            out = self._decide(Play(view.board, view.entries[:k]), links)
-            if out is NO_RESPONSE or out is None:
+        return self.replay(view, 1, {})
+
+    def replay(self, view: Play, start: int, links: dict) -> Optional[Response]:
+        """Decide the responses at indices start, start + 2, ... of the view,
+        each checked against the view; `links` maps a response's index to
+        the zones it opened."""
+        for k in range(start, len(view) + 1, 2):
+            x = view.entries[k - 1]
+            out = self.prelude(Play(view.board, view.entries[:k]), k - 1)
+            out = out or mirror(self.board, x, k - 1, links.get(x.justifier, ()))
+            if out is None:
                 if k < len(view):
                     raise OracleError(f"{self.name}: view extends a non-response")
                 return None
-            r, zones = out
-            links[k] = list(zones)
+            r, links[k] = out
             if k < len(view):
                 actual = view.entries[k]
                 if (actual.comp, actual.move, actual.justifier) != (
@@ -209,16 +216,6 @@ class MachineStrategy(Strategy):
                         f"{actual} vs {r}"
                     )
         return r
-
-    def _decide(self, prefix: Play, links):
-        i = len(prefix) - 1
-        out = self.prelude(prefix, i, links)
-        if out is not None:
-            return out
-        x = prefix.entries[i]
-        if x.justifier is None:
-            return NO_RESPONSE
-        return mirror(self.board, x, i, links.get(x.justifier, ())) or NO_RESPONSE
 
 
 def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
@@ -237,43 +234,43 @@ def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
     return Response(best.tgt_comp, moved, best.tgt_idx), [best.flip(i)]
 
 
-class Copycat(MachineStrategy):
-    """Identity / embedding / projection: mirror everything verbatim."""
+class Answer(MachineStrategy):
+    """Answer the initial move with `pay` of its payload, then copy moves
+    between each (source prefix, target prefix) pair of `zones`.  A payload
+    outside the target's initial schema gets no answer."""
 
-    def __init__(self, board: Board, name: str = "id"):
+    def __init__(self, board: Board, name: str, pay, zones=()):
         super().__init__(board, name)
+        self.pay = pay
+        self.zones = tuple(Zone(TGT, tgtp, 0, SRC, srcp) for srcp, tgtp in zones)
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
-            p = view.entries[0].move.pay
-            if not self.board.tgt.initial_schema().contains(p):
-                return NO_RESPONSE
-            r = Response(TGT, Move((), p), 0)
-            return r, [Zone(TGT, (), 0, SRC, ())]
+            p = self.pay(view.entries[0].move.pay)
+            if self.board.tgt.initial_schema().contains(p):
+                return Response(TGT, Move((), p), 0), self.zones
         return None
+
+
+def Copycat(board: Board, name: str = "id") -> Strategy:
+    """Identity / embedding / projection: mirror everything verbatim."""
+    return Answer(board, name, lambda p: p, [((), ())])
 
 
 def identity(a: Arena) -> Strategy:
     return Copycat(Board(a, a))
 
 
-class PathProjection(MachineStrategy):
+def PathProjection(src: Arena, path: tuple, name: str = "pi") -> Strategy:
     """Tensor projection onto the component at `path` ('l'/'r' steps)."""
-
-    def __init__(self, src: Arena, path: tuple, name: str = "pi"):
-        tgt = src
-        for step in path:
-            assert isinstance(tgt, Tensor), f"no component {path} in {src}"
-            tgt = tgt.left if step == "l" else tgt.right
-        super().__init__(Board(src, tgt), f"{name}{''.join(path)}")
-        self.path = tuple(path)
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            p = view.entries[0].move.pay
-            r = Response(TGT, Move((), pay_at(p, self.path)), 0)
-            return r, [Zone(TGT, (), 0, SRC, self.path)]
-        return None
+    tgt = src
+    for step in path:
+        assert isinstance(tgt, Tensor), f"no component {path} in {src}"
+        tgt = tgt.left if step == "l" else tgt.right
+    path = tuple(path)
+    return Answer(
+        Board(src, tgt), f"{name}{''.join(path)}", lambda p: pay_at(p, path), [(path, ())]
+    )
 
 
 def pay_at(pay, path: tuple):
@@ -283,155 +280,84 @@ def pay_at(pay, path: tuple):
     return pay
 
 
-class NameListProj(MachineStrategy):
+def NameListProj(positions: tuple[int, ...], src: Names) -> Strategy:
     """pi^{abar}_{abar'}: project an ambient name tuple onto a subtuple."""
-
-    def __init__(self, positions: tuple[int, ...], src: Names):
-        tgt = (
-            One()
-            if not positions
-            else Names(tuple(src.signature[p] for p in positions))
-        )
-        super().__init__(Board(src, tgt), "pi-names")
-        self.positions = positions
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            xs = view.entries[0].move.pay
-            pay = STAR if not self.positions else tuple(xs[p] for p in self.positions)
-            return Response(TGT, Move((), pay), 0), []
-        return None
+    if not positions:
+        return Answer(Board(src, One()), "pi-names", lambda xs: STAR)
+    tgt = Names(tuple(src.signature[p] for p in positions))
+    return Answer(Board(src, tgt), "pi-names", lambda xs: tuple(xs[p] for p in positions))
 
 
-class Bang(MachineStrategy):
+def Bang(src: Arena) -> Strategy:
     """The unique arrow to the unit arena."""
-
-    def __init__(self, src: Arena):
-        super().__init__(Board(src, One()), "!")
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            return Response(TGT, Move((), STAR), 0), []
-        return NO_RESPONSE
+    return Answer(Board(src, One()), "!", lambda p: STAR)
 
 
-class Numeral(MachineStrategy):
-    def __init__(self, n: int):
-        super().__init__(Board(One(), NatArena()), f"num{n}")
-        self.n = n
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            return Response(TGT, Move((), self.n), 0), []
-        return NO_RESPONSE
+def Numeral(n: int) -> Strategy:
+    return Answer(Board(One(), NatArena()), f"num{n}", lambda p: n)
 
 
-class NatFn(MachineStrategy):
-    def __init__(self, fn: Callable[[int], int], name: str = "natfn"):
-        super().__init__(Board(NatArena(), NatArena()), name)
-        self.fn = fn
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            return Response(TGT, Move((), self.fn(view.entries[0].move.pay)), 0), []
-        return NO_RESPONSE
+def NatFn(fn: Callable[[int], int], name: str = "natfn") -> Strategy:
+    return Answer(Board(NatArena(), NatArena()), name, fn)
 
 
-class EqStrat(MachineStrategy):
+def EqStrat(src: Tensor) -> Strategy:
     """Name equality: initial move holds two name payloads, answer 0 or 1."""
 
-    def __init__(self, src: Tensor):
-        super().__init__(Board(src, NatArena()), "eq")
+    def eq(p):
+        left, right = list(atoms_of(p[1])), list(atoms_of(p[2]))
+        assert len(left) == 1 and len(right) == 1, "eq expects single names"
+        return 0 if left == right else 1
 
-    def prelude(self, view, i, links):
-        if i == 0:
-            p = view.entries[0].move.pay
-            left = [a for a in atoms_of(p[1])]
-            right = [a for a in atoms_of(p[2])]
-            assert len(left) == 1 and len(right) == 1, "eq expects single names"
-            return Response(TGT, Move((), 0 if left == right else 1), 0), []
-        return NO_RESPONSE
+    return Answer(Board(src, NatArena()), "eq", eq)
 
 
-class Diagonal(MachineStrategy):
-    def __init__(self, a: Arena):
-        super().__init__(Board(a, Tensor(a, a)), "delta")
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            p = view.entries[0].move.pay
-            r = Response(TGT, Move((), (PAIR, p, p)), 0)
-            return r, [Zone(TGT, ("l",), 0, SRC, ()), Zone(TGT, ("r",), 0, SRC, ())]
-        return None
-
-
-class IsoStrategy(MachineStrategy):
-    """Copycat across a structural tensor isomorphism."""
-
-    def __init__(self, src: Arena, tgt: Arena, pay_fwd, zones: list[tuple[tuple, tuple]], name="iso"):
-        super().__init__(Board(src, tgt), name)
-        self.pay_fwd = pay_fwd
-        self.zone_pairs = zones
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            p = view.entries[0].move.pay
-            r = Response(TGT, Move((), self.pay_fwd(p)), 0)
-            return r, [
-                Zone(TGT, tgtp, 0, SRC, srcp) for srcp, tgtp in self.zone_pairs
-            ]
-        return None
+def Diagonal(a: Arena) -> Strategy:
+    return Answer(
+        Board(a, Tensor(a, a)), "delta", lambda p: (PAIR, p, p), [((), ("l",)), ((), ("r",))]
+    )
 
 
 def symm(a: Arena, b: Arena) -> Strategy:
-    return IsoStrategy(
-        Tensor(a, b),
-        Tensor(b, a),
+    return Answer(
+        Board(Tensor(a, b), Tensor(b, a)),
+        "symm",
         lambda p: (PAIR, p[2], p[1]),
         [(("l",), ("r",)), (("r",), ("l",))],
-        name="symm",
     )
 
 
 def assoc_rt(a: Arena, b: Arena, c: Arena) -> Strategy:
     """(a⊗b)⊗c -> a⊗(b⊗c)."""
-    return IsoStrategy(
-        Tensor(Tensor(a, b), c),
-        Tensor(a, Tensor(b, c)),
+    return Answer(
+        Board(Tensor(Tensor(a, b), c), Tensor(a, Tensor(b, c))),
+        "assoc",
         lambda p: (PAIR, p[1][1], (PAIR, p[1][2], p[2])),
         [(("l", "l"), ("l",)), (("l", "r"), ("r", "l")), (("r",), ("r", "r"))],
-        name="assoc",
     )
 
 
 def assoc_lt(a: Arena, b: Arena, c: Arena) -> Strategy:
     """a⊗(b⊗c) -> (a⊗b)⊗c."""
-    return IsoStrategy(
-        Tensor(a, Tensor(b, c)),
-        Tensor(Tensor(a, b), c),
+    return Answer(
+        Board(Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c)),
+        "assoc'",
         lambda p: (PAIR, (PAIR, p[1], p[2][1]), p[2][2]),
         [(("l",), ("l", "l")), (("r", "l"), ("l", "r")), (("r", "r"), ("r",))],
-        name="assoc'",
     )
 
 
 def unit_intro_left(a: Arena) -> Strategy:
     """a -> 1⊗a."""
-    return IsoStrategy(
-        a, Tensor(One(), a), lambda p: (PAIR, STAR, p), [((), ("r",))], name="unitl"
-    )
+    return Answer(Board(a, Tensor(One(), a)), "unitl", lambda p: (PAIR, STAR, p), [((), ("r",))])
 
 
 def unit_elim_left(a: Arena) -> Strategy:
-    return IsoStrategy(
-        Tensor(One(), a), a, lambda p: p[2], [(("r",), ())], name="unitl'"
-    )
+    return Answer(Board(Tensor(One(), a), a), "unitl'", lambda p: p[2], [(("r",), ())])
 
 
 def unit_elim_right(a: Arena) -> Strategy:
-    return IsoStrategy(
-        Tensor(a, One()), a, lambda p: p[1], [(("l",), ())], name="unitr'"
-    )
+    return Answer(Board(Tensor(a, One()), a), "unitr'", lambda p: p[1], [(("l",), ())])
 
 
 # -- lifting monad pieces ----------------------------------------------------
@@ -440,7 +366,7 @@ class Up(MachineStrategy):
     def __init__(self, a: Arena):
         super().__init__(Board(a, Lift(a)), "up")
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR1), 0), []
         if i == 2:
@@ -454,7 +380,7 @@ class Dn(MachineStrategy):
     def __init__(self, a: Arena):
         super().__init__(Board(Lift(Lift(a)), Lift(a)), "dn")
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR1), 0), []
         if i == 2:
@@ -471,7 +397,7 @@ class St(MachineStrategy):
     def __init__(self, a: Arena, b: Arena):
         super().__init__(Board(Tensor(a, Lift(b)), Lift(Tensor(a, b))), "st")
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR1), 0), []
         if i == 2:
@@ -494,7 +420,7 @@ class Pu(MachineStrategy):
         assert a.is_pointed(), f"pu needs a pointed arena, got {a}"
         super().__init__(Board(Lift(a), a), "pu")
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), self.board.tgt.point()), 0), []
         if i == 2 and view.entries[2].comp == TGT and view.entries[2].justifier == 1:
@@ -518,7 +444,7 @@ class NewName(MachineStrategy):
         self.sig = tuple(sig)
         self.family = family
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR1), 0), []
         if i == 2:
@@ -549,7 +475,7 @@ class Binom(MachineStrategy):
         self.positions = positions
         self.tgt_sig = tgt_sig
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR1), 0), []
         if i == 2:
@@ -578,7 +504,7 @@ class DrfStrategy(MachineStrategy):
             Board(Names((c_type,)), t_arena(sden(c_type, k), k)), f"drf[{c_type}]"
         )
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR), 0), []
         if i == 2:
@@ -605,7 +531,7 @@ class UpdStrategy(MachineStrategy):
             f"upd[{c_type}]",
         )
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             return Response(TGT, Move((), STAR), 0), []
         if i == 2:
@@ -634,7 +560,7 @@ class CndStrategy(MachineStrategy):
         ta = t_arena(value, k)
         super().__init__(Board(Tensor(NatArena(), Tensor(ta, ta)), ta), "cnd")
 
-    def prelude(self, view, i, links):
+    def prelude(self, view, i):
         if i == 0:
             n = view.entries[0].move.pay[1]
             branch = ("r", "l") if n == 0 else ("r", "r")

@@ -15,6 +15,7 @@ from typing import Optional
 from .arenas import (
     Arena,
     Budget,
+    ForeignMove,
     MERGE,
     Move,
     Names,
@@ -36,6 +37,7 @@ from .arenas import (
 from .nominal import Atom, NameList, _complete_to_permutation, atoms_of, orbit_canon, support
 from .plays import Board, Entry, Play, SRC, TGT, pview
 from .strategies import (
+    Answer,
     CndStrategy,
     Diagonal,
     MachineStrategy,
@@ -54,7 +56,6 @@ from .strategies import (
     compose,
     extend_view,
     identity,
-    mirror,
     o_extensions,
     pay_at,
     strategy_diff,
@@ -75,7 +76,7 @@ def classify_entry(board: Board, e: Entry) -> str:
     arena = board.src if e.comp == SRC else board.tgt
     try:
         out = classify_store_move(arena, e.move)
-    except Exception:
+    except ForeignMove:
         return "Plain"
     if out == INITIAL and e.comp == TGT:
         # the target initial of a prearena is not the play's first move,
@@ -386,18 +387,12 @@ def scrutinizer(
 # Case strategies (view transformers around the decomposed strategy)
 # ---------------------------------------------------------------------------
 
-class OrbitTest(MachineStrategy):
+def OrbitTest(src: Arena, init_pay) -> Strategy:
     """[x = i0] : answer 0 on the distinguished initial orbit, 1 elsewhere."""
-
-    def __init__(self, src: Arena, init_pay):
-        super().__init__(Board(src, NatArena()), "orbit-test")
-        self.key = orbit_canon(init_pay)[0]
-
-    def prelude(self, view, i, links):
-        if i == 0:
-            same = orbit_canon(view.entries[0].move.pay)[0] == self.key
-            return Response(TGT, Move((), 0 if same else 1), 0), []
-        return None
+    key = orbit_canon(init_pay)[0]
+    return Answer(
+        Board(src, NatArena()), "orbit-test", lambda p: 0 if orbit_canon(p)[0] == key else 1
+    )
 
 
 class ComplementRestrict(Strategy):
@@ -560,7 +555,7 @@ def _store_zone_of(m0: Move) -> tuple:
     return m0.addr[:-1] + ("a", "r")
 
 
-class ForgetUpdate(Strategy):
+class ForgetUpdate(MachineStrategy):
     """Case 3b's sigma': behave like sigma but pass the updated name to the
     previous store instead of answering it."""
 
@@ -586,23 +581,8 @@ class ForgetUpdate(Strategy):
     def respond_raw(self, view):
         if not self._in_thread(view):
             return self.inner.respond(view)
-        links = {
-            3: [Zone(self.m0_comp, self.zone, 2, TGT, ("a",))],
-        }
-        # replay the copycat from entry 4 onwards
-        for k_ in range(5, len(view.entries) + 1, 2):
-            x = view.entries[k_ - 1]
-            out = mirror(self.board, x, k_ - 1, links.get(x.justifier, ()))
-            if out is None:
-                return None
-            r, links[k_] = out
-            if k_ < len(view.entries):
-                actual = view.entries[k_]
-                if (actual.comp, actual.move, actual.justifier) != (
-                    r.comp, r.move, r.justifier,
-                ):
-                    return None
-        return r
+        # copycat the question, and all that follows it, to the previous store
+        return self.replay(view, 5, {3: [Zone(self.m0_comp, self.zone, 2, TGT, ("a",))]})
 
 
 def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,

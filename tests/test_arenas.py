@@ -337,8 +337,12 @@ def test_foreign_moves_have_no_label_level_or_children():
     """Where has_move is False, label, level and children raise: ForeignMove,
     or DepthExceeded for a value move of a depth-0 store."""
     arenas = digest_arenas() + [Tensor(NatArena(), Lift(One()))]
+    untyped_question = Move(("q",), Atom("x", 0))  # a family that is not a type
+    for k in range(3):
+        assert not Store(k).has_move(untyped_question), k
+    arenas += [Store(k) for k in range(3)]
     for a in arenas:
-        probes = [Move((), 7), Move(("l",), 0), Move(("q",), 7)]
+        probes = [Move((), 7), Move(("l",), 0), Move(("q",), 7), untyped_question]
         probes += [p for m in enumerated(a, cap=60) for p in mutations(m)]
         for p in probes:
             if a.has_move(p):

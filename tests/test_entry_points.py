@@ -2,9 +2,12 @@
 
 A public name (one not starting with `_`) defined at the top level of a
 module under `src/nurho` must be referenced somewhere in `src/`, `tests/`
-or `bench/` outside its own definition.  References are counted with a
-word-boundary search, so a use inside the name's own body (recursion, a
-docstring) does not keep it alive.
+or `bench/` outside its own definition.  References are read from the
+syntax tree: the name read as a variable, read as `mod.name` on a package
+module, imported by name, or named by a string of the benchmark's tracer.
+A use inside the name's own body (recursion) does not keep it alive, and
+neither does a docstring, a comment or a method of the same name
+(`xs.extend` does not keep a function `extend` alive).
 
 No dead imports either: every name a module of the package imports must be
 read in the function, or module, whose body holds the import.
@@ -16,7 +19,6 @@ Special methods (`__eq__`, ...) are called by the language and exempt.
 """
 import ast
 import importlib.util
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,17 +41,50 @@ def _defined_names(tree: ast.Module):
                 yield name, node.lineno, node.end_lineno
 
 
+def _from_package(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "nurho"
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each reference a file makes to a package name: a
+    read `name`, a read `mod.name` on a name bound to a package module, or
+    a name imported from the package."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_package(node):
+            for alias in node.names:
+                yield alias.name, node.lineno
+                if node.module in (None, "nurho"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.attr, node.lineno
+
+
+def _tracer_strings() -> set[str]:
+    """The dotted parts of every string of the benchmark's tracer, which
+    patches functions and methods by name."""
+    tracer = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    return {part for n in ast.walk(tracer)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            for part in n.value.split(".")}
+
+
 def dead_names() -> list[str]:
-    texts = {p: p.read_text(encoding="utf-8").splitlines() for p in SEARCHED}
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path in SEARCHED:
+        for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
+            refs.setdefault(name, []).append((path, line))
+    traced = _tracer_strings()
     dead = []
     for module in sorted(PACKAGE.glob("*.py")):
         for name, first, last in _defined_names(ast.parse(module.read_text(encoding="utf-8"))):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            used = any(
-                word.search(line)
-                for path, lines in texts.items()
-                for no, line in enumerate(lines, 1)
-                if not (path == module and first <= no <= last)
+            used = name in traced or any(
+                not (path == module and first <= line <= last)
+                for path, line in refs.get(name, ())
             )
             if not used:
                 dead.append(f"{module.stem}.{name}")
@@ -96,10 +131,7 @@ def _read_attributes() -> set[str]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    tracer = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
-    read |= {n.value for n in ast.walk(tracer)
-             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    return read
+    return read | _tracer_strings()
 
 
 def dead_methods() -> list[str]:

@@ -47,8 +47,8 @@ graph-isomorphic presentations used throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable, Iterator, Optional
 
 from .nominal import Atom, Permutation, apply_perm, atoms_of, fresh_atom
@@ -66,16 +66,24 @@ MERGE = "▷"
 # Moves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     addr: tuple = ()
     pay: object = STAR
+    _atoms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def atoms(self) -> tuple[Atom, ...]:
-        """The atom occurrences of the payload in `atoms_of` order, computed
-        once; it lives in the instance dict, outside eq, hash and repr."""
-        return tuple(atoms_of(self.pay))
+        """The payload's atoms in `atoms_of` order, computed once into a slot."""
+        if self._atoms is None:
+            object.__setattr__(self, "_atoms", tuple(atoms_of(self.pay)))
+        return self._atoms
+
+    def at(self, addr: tuple) -> "Move":
+        """The payload at another address, its atom tuple carried over."""
+        m = Move(addr, self.pay)
+        object.__setattr__(m, "_atoms", self._atoms)
+        return m
 
     def _map_atoms_(self, pi: Permutation) -> "Move":
         if pi.fixes(self.atoms):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A typed atomic name.  Equality is (family, index) equality."""
 

@@ -59,7 +59,7 @@ class Board:
         return f"{arena_str(self.src)} -> {arena_str(self.tgt)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     comp: str  # 's' | 't'
     move: Move

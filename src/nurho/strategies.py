@@ -17,13 +17,12 @@ Three kinds of strategies cover everything downstream:
 * view transformers: combinators (pairing, tensor, lifting, currying,
   head separation) on one engine that renames the view zone by zone into
   an inner strategy's view and the inner answer back;
-* chains: composites evaluated by replaying the view through an n-ary
-  parallel interaction of the component strategies.
+* chains: composites that replay the view through an n-ary parallel
+  interaction of their parts, kept and resumed from the prefix shared.
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -228,7 +227,7 @@ def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
                 best = z
     if best is None:
         return None
-    moved = Move(best.tgt_prefix + x.move.addr[len(best.own_prefix):], x.move.pay)
+    moved = x.move.at(best.tgt_prefix + x.move.addr[len(best.own_prefix):])
     if not board.arena(best.tgt_comp).has_move(moved):
         return None
     return Response(best.tgt_comp, moved, best.tgt_idx), [best.flip(i)]
@@ -620,7 +619,7 @@ def _relabel(zones: list[TZone], x, shift: int):
                 j += shift
             move = x.move  # kept when the address stays: its atoms are cached
             if z.i_prefix != z.o_prefix:
-                move = Move(z.i_prefix + move.addr[n:], move.pay)
+                move = move.at(z.i_prefix + move.addr[n:])
             return type(x)(z.i_comp, move, j, x.delta)
     raise OracleError(f"no zone holds {x}")
 
@@ -899,7 +898,7 @@ class TotalRestrict(Strategy):
 # Composition: n-ary parallel interaction replayed against the view
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class UEntry:
     iface: int
     move: Move
@@ -939,7 +938,7 @@ class Projection:
         """The view `base` followed by projected entry k."""
         view, idx = base
         e = self.entries[k]
-        j = None if e.justifier is None else idx.index(e.justifier)
+        j = None if e.justifier is None else bisect.bisect_left(idx, e.justifier)
         return view.append(Entry(e.comp, e.move, j, e.delta)), idx + (k,)
 
     def add(self, origin: int, e: Entry) -> None:
@@ -967,6 +966,19 @@ class Projection:
         self.scanned = min(self.scanned, origin)
 
 
+class _Work:
+    """A chain's working interaction: the view answered last, the interaction u
+    played for it, view index <-> u index, each part's projection, a mark (len(u),
+    prefix support, atoms of u) per even prefix, and the answer's pending bounce."""
+
+    __slots__ = ("view", "u", "vmap", "inv", "projs", "marks", "pending")
+
+    def __init__(self, parts: list[Strategy]):
+        self.view, self.u, self.vmap, self.inv, self.pending = (), [], [], {}, None
+        self.projs = [Projection(p.board, k) for k, p in enumerate(parts, 1)]
+        self.marks = [(0, frozenset(), frozenset())]
+
+
 class ChainStrategy(Strategy):
     """Composite of a chain of strategies, each on adjacent interfaces."""
 
@@ -981,6 +993,7 @@ class ChainStrategy(Strategy):
         super().__init__(board, ";".join(p.name for p in parts))
         self.parts = parts
         self.step_budget = step_budget
+        self._work: Optional[_Work] = None
 
     # -- projections ---------------------------------------------------------
     def _project(self, u: list[UEntry], proj: Projection) -> Projection:
@@ -1031,8 +1044,7 @@ class ChainStrategy(Strategy):
             u_j = proj.origins[view_idx[r.justifier]]
             iface = (receiver - 1) if r.comp == SRC else receiver
             r = _freshen(r, live)
-            live.update(r.move.atoms)
-            live.update(r.delta)
+            live.update(r._iter_atoms_())
             u.append(UEntry(iface, r.move, u_j, r.delta, receiver))
             added.append(len(u) - 1)
             if iface == 0 or iface == n:
@@ -1040,65 +1052,85 @@ class ChainStrategy(Strategy):
             receiver = iface if r.comp == SRC else iface + 1
 
     def respond_raw(self, view: Play) -> Optional[Response]:
-        n = len(self.parts)
-        u: list[UEntry] = []
-        vmap: dict[int, int] = {}
-        taboo = set(support(view))
-        live = set(taboo)
-        projs = [Projection(p.board, k) for k, p in enumerate(self.parts, 1)]
-        for i in range(0, len(view), 2):
-            e = view.entries[i]
+        """Cut the working interaction back to the longest even prefix the
+        view shares with the one walked, settling the pending bounce when the
+        view extends its answer, and bounce only the view's entries after
+        that prefix.  u then is what a replay from scratch builds, so the
+        answer is the same.  A raise or a refusal drops the interaction."""
+        w, self._work = self._work or _Work(self.parts), None
+        es, n = view.entries, len(self.parts)
+        u, vmap, inv, projs, marks = w.u, w.vmap, w.inv, w.projs, w.marks
+        s, top = 0, min(len(es), len(w.view))
+        while s < top and es[s] == w.view[s]:
+            s += 1
+        if w.pending and s == len(w.view) < len(es):
+            s += 1
+            self._settle(w, es, *w.pending)
+        at = max(min(s, len(es) - 1), 0) & ~1
+        nu, sup, uat = marks[at // 2]
+        if not (uat - sup).isdisjoint(support(es[at:])):
+            at, (nu, sup, uat) = 0, marks[0]  # the suffix meets a hidden atom
+        for ui in vmap[at:]:
+            del inv[ui]
+        del marks[at // 2 + 1:], u[nu:], vmap[at:]
+        for proj in projs:
+            proj.truncate(nu)
+        w.view, w.pending = es, None
+        taboo = support(view)
+        live = set(taboo).union(uat)
+        for i in range(at, len(es), 2):
+            e = es[i]
             iface = 0 if e.comp == SRC else n
+            inv[len(u)] = i
+            vmap.append(len(u))
             just = vmap[e.justifier] if e.justifier is not None else None
             u.append(UEntry(iface, e.move, just, (), 0))
-            vmap[i] = len(u) - 1
-            receiver = 1 if iface == 0 else n
-            out = self._bounce(u, receiver, live, projs)
+            out = self._bounce(u, 1 if iface == 0 else n, live, projs)
             if out is None:
                 return None
-            exit_idx, added = out
-            deltas = tuple(
-                itertools.chain.from_iterable(u[j].delta for j in added)
-            )
-            last = i + 1 == len(view)
-            if not last:
-                expected = view.entries[i + 1]
-                if len(deltas) != len(expected.delta):
-                    raise OracleError(
-                        f"{self.name}: delta arity mismatch replaying the view"
-                    )
-                if deltas != expected.delta:
-                    pi = _complete_to_permutation(dict(zip(deltas, expected.delta)))
-                    for j in added:
-                        u[j] = u[j]._map_atoms_(pi)
-                    for proj in projs:
-                        proj.truncate(added[0])
-                    live = taboo | support(tuple(u))
-            exit_entry = u[exit_idx]
-            comp = SRC if exit_entry.iface == 0 else TGT
-            if exit_entry.iface == n and self.board.tgt.is_initial(exit_entry.move):
-                exit_jv: Optional[int] = 0
-            else:
-                inv = {ui: vi for vi, ui in vmap.items()}
-                exit_jv = inv.get(exit_entry.justifier)
-                if exit_jv is None:
-                    raise OracleError(
-                        f"{self.name}: exit justifier hidden from the view"
-                    )
-            if last:
-                return Response(comp, exit_entry.move, exit_jv, deltas)
-            if (comp, exit_entry.move, exit_jv) != (
-                expected.comp,
-                expected.move,
-                expected.justifier,
-            ):
-                raise OracleError(
-                    f"{self.name}: view replay mismatch at {i + 1}: got "
-                    f"{comp}:{exit_entry.move}@{exit_jv}, expected "
-                    f"{expected.comp}:{expected.move}@{expected.justifier}"
-                )
-            vmap[i + 1] = exit_idx
+            if i + 1 == len(es):
+                w.pending, self._work = (i, *out), w
+                deltas = sum((u[j].delta for j in out[1]), ())
+                return Response(*self._exit(w, out[0]), deltas)
+            live = set(taboo).union(self._settle(w, es, i, *out))
         raise OracleError("even-length view fed to a strategy")
+
+    def _settle(self, w: _Work, es: tuple, i: int, exit_idx: int, added: list[int]):
+        """Check the bounce from view entry i against es[i + 1], with its new names
+        renamed to the view's; mark the prefix ending there.  The atoms of u."""
+        u, expected = w.u, es[i + 1]
+        deltas = sum((u[j].delta for j in added), ())  # the names the bounce introduced
+        if len(deltas) != len(expected.delta):
+            raise OracleError(f"{self.name}: delta arity mismatch replaying the view")
+        if deltas != expected.delta:
+            pi = _complete_to_permutation(dict(zip(deltas, expected.delta)))
+            for j in added:
+                u[j] = u[j]._map_atoms_(pi)
+            for proj in w.projs:
+                proj.truncate(added[0])
+        comp, move, jv = self._exit(w, exit_idx)
+        if (comp, move, jv) != (expected.comp, expected.move, expected.justifier):
+            raise OracleError(
+                f"{self.name}: view replay mismatch at {i + 1}: got {comp}:{move}@"
+                f"{jv}, expected {expected.comp}:{expected.move}@{expected.justifier}"
+            )
+        w.inv[exit_idx] = i + 1
+        w.vmap.append(exit_idx)
+        nu, sup, uat = w.marks[-1]
+        uat = uat.union(a for x in u[nu:] for a in x._iter_atoms_())
+        w.marks.append((len(u), sup.union(support(es[i:i + 2])), uat))
+        return uat
+
+    def _exit(self, w: _Work, exit_idx: int) -> tuple[str, Move, int]:
+        """The exit move of a bounce as the view sees it: (comp, move, justifier)."""
+        x = w.u[exit_idx]
+        comp = SRC if x.iface == 0 else TGT
+        if x.iface == len(self.parts) and self.board.tgt.is_initial(x.move):
+            return comp, x.move, 0
+        jv = w.inv.get(x.justifier)
+        if jv is None:
+            raise OracleError(f"{self.name}: exit justifier hidden from the view")
+        return comp, x.move, jv
 
 
 def compose(*parts: Strategy) -> Strategy:

@@ -28,6 +28,7 @@ from nurho.strategies import (
     Binom,
     ChainStrategy,
     CndStrategy,
+    CompositionBudget,
     Copycat,
     Diagonal,
     DrfStrategy,
@@ -48,6 +49,7 @@ from nurho.strategies import (
     St,
     TensorOf,
     TotalRestrict,
+    UEntry,
     Up,
     UpdStrategy,
     ZonedTransform,
@@ -662,3 +664,96 @@ def test_chain_views_grow_like_fresh_projections(monkeypatch):
     for build in transformer_zoo().values():
         viewfunction(build(), 8, GOLD)
     assert seen["steps"] > 1000 and seen["renamed"] > 0, seen
+
+
+def _zoo_tables(monkeypatch, fresh: bool) -> dict:
+    """The depth-8 tables and plays of the zoo, built on fresh memos; with
+    `fresh`, every chain answers every view from a new working interaction,
+    as a fresh chain does."""
+    raw = ChainStrategy.respond_raw
+
+    def fresh_raw(self, view):
+        self._work = None
+        return raw(self, view)
+
+    out = {}
+    with monkeypatch.context() as m:
+        if fresh:
+            m.setattr(ChainStrategy, "respond_raw", fresh_raw)
+        m.setattr(model, "_DEN_CACHE", {})
+        for name, build in transformer_zoo().items():
+            vf = viewfunction(build(), 8, GOLD)
+            out[name] = (vf.table, list(vf.plays.items()))
+    return out
+
+
+def test_chains_resume_and_answer_like_fresh_chains(monkeypatch):
+    """A chain resumes the interaction it played for the view it answered
+    last; the zoo's tables and plays are those of chains that replay every
+    view from scratch, and most calls resume."""
+    raw, bounce = ChainStrategy.respond_raw, ChainStrategy._bounce
+    first, seen = set(), {"calls": 0, "resumed": 0}
+
+    def counted_raw(self, view):
+        first.add(self)
+        seen["calls"] += 1
+        return raw(self, view)
+
+    def counted_bounce(self, u, *rest):
+        if self in first:  # a replay from scratch starts on u = [the O-move]
+            first.discard(self)
+            seen["resumed"] += len(u) > 1
+        return bounce(self, u, *rest)
+
+    monkeypatch.setattr(ChainStrategy, "respond_raw", counted_raw)
+    monkeypatch.setattr(ChainStrategy, "_bounce", counted_bounce)
+    resumed = _zoo_tables(monkeypatch, fresh=False)
+    assert seen["calls"] > 1000 and 2 * seen["resumed"] >= seen["calls"], seen
+    assert resumed == _zoo_tables(monkeypatch, fresh=True)
+
+
+def test_chain_drops_its_interaction_when_a_bounce_raises(monkeypatch):
+    """Under a tiny step budget some views raise; every view answered after
+    one is answered as a fresh chain with that budget answers it."""
+    monkeypatch.setattr(model, "_DEN_CACHE", {})
+    s = transformer_zoo()["den-lam-succ"]()
+    keys = list(viewfunction(s, 8, GOLD).plays)
+    tight = ChainStrategy(s.parts, step_budget=2)
+    raised = answered_after = 0
+    for key in keys:
+        for cut in range(1, len(key), 2):
+            view = Play(s.board, key[:cut])
+            try:
+                r = tight.respond_raw(view)
+            except CompositionBudget:
+                raised += 1
+                continue
+            assert r == ChainStrategy(s.parts, step_budget=2).respond_raw(view)
+            assert r == s.respond_raw(view)
+            answered_after += raised > 0
+    assert raised and answered_after, (raised, answered_after)
+
+
+def test_nominal_values_are_slotted():
+    """Atoms, moves and entries carry no instance dict, and a move computes
+    its atom tuple once, outside eq, hash and repr."""
+    import nurho.arenas as arenas
+
+    calls = []
+    walk = arenas.atoms_of
+
+    def counted(x):
+        calls.append(x)
+        return walk(x)
+
+    m = Move(("q",), (PAIR, aN, bN))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arenas, "atoms_of", counted)
+        assert m.atoms == (aN, bN) and m.atoms is m.atoms
+        assert m.at(("r",)).atoms is m.atoms  # a readdressed copy keeps them
+    assert len(calls) == 1
+    twin = Move(("q",), (PAIR, aN, bN))
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    e = Entry(SRC, m, None, (aN,))
+    for x in (aN, m, e, UEntry(0, m, None, (), 0)):
+        assert not hasattr(x, "__dict__"), type(x).__name__

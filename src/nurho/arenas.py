@@ -88,7 +88,10 @@ class Move:
     def _map_atoms_(self, pi: Permutation) -> "Move":
         if pi.fixes(self.atoms):
             return self
-        return Move(self.addr, apply_perm(pi, self.pay))
+        m = Move(self.addr, apply_perm(pi, self.pay))
+        if _in_order(self.pay):
+            object.__setattr__(m, "_atoms", tuple(map(pi, self._atoms)))
+        return m
 
     def _iter_atoms_(self) -> Iterator[Atom]:
         return iter(self.atoms)
@@ -97,6 +100,14 @@ class Move:
         return f"{'.'.join(map(str, self.addr)) or 'ε'}:{pay_str(self.pay)}"
 
     __repr__ = __str__
+
+
+def _in_order(pay) -> bool:
+    """atoms_of walks pay in an order that a permutation keeps: no frozenset,
+    whose atoms it sorts by repr, and no object with its own walk."""
+    if isinstance(pay, tuple):
+        return all(map(_in_order, pay))
+    return not isinstance(pay, frozenset) and not hasattr(pay, "_iter_atoms_")
 
 
 def pay_str(p) -> str:

@@ -32,7 +32,6 @@ from .strategies import (
     classify,
     compose,
     determinacy_fuzz,
-    extend_view,
     identity,
     o_extensions,
     strategy_leq,
@@ -353,7 +352,7 @@ def cmd_repl(args) -> int:
         if r is None:
             print("no response (strategy is silent here); undoing.")
             continue
-        view = extend_view(odd, r)
+        view = odd.append(r)
         print(f"P: {r.comp}:{r.move} -> {r.justifier} delta={list(r.delta)}")
         print("current P-view:")
         print(view.pretty())

@@ -61,7 +61,6 @@ from .strategies import (
     assoc_rt,
     compose,
     ev,
-    extend_view,
     identity,
     strategy_diff,
     strategy_equal,
@@ -363,7 +362,7 @@ def observable(f: Strategy, budget: int = 8, init: Optional[Entry] = None) -> bo
     r1 = f.respond(v1)
     if r1 is None or r1.move != Move((), STAR):
         return False
-    v2 = extend_view(v1, r1)
+    v2 = v1.append(r1)
     opener = Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ())
     r2 = f.respond(v2.append(opener))
     if r2 is None:

@@ -8,10 +8,12 @@ makes projections of interactions well-behaved.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arenas import Arena, Move, arena_from_json, arena_str, arena_to_json
+from .arenas import Arena, DepthExceeded, ForeignMove, Move, arena_from_json, arena_str
+from .arenas import arena_to_json
 from .nominal import (
     Atom,
     Permutation,
@@ -27,25 +29,46 @@ from .syntax import parse_type
 SRC, TGT = "s", "t"
 
 
+class _Labels(dict):
+    """A label memo, (comp, move) -> (polarity, Q/A)."""
+
+
+_LABELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Board:
     """A prearena: source and target arena; initial moves are O-questions."""
 
     src: Arena
     tgt: Arena
-    _labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _labels: dict = field(init=False, repr=False, compare=False)
     _atomless_ = True
+
+    def __post_init__(self):
+        # equal live boards share one memo, kept while one of them lives
+        labels = _LABELS.setdefault((self.src, self.tgt), _Labels())
+        object.__setattr__(self, "_labels", labels)
 
     def arena(self, comp: str) -> Arena:
         return self.src if comp == SRC else self.tgt
 
     def label(self, comp: str, m: Move) -> tuple[str, str]:
-        """(polarity, Q/A) of m in component comp, memoised per board."""
+        """(polarity, Q/A) of m in component comp, memoised for equal boards;
+        a foreign move raises each time."""
         key = (comp, m)
         out = self._labels.get(key)
         if out is None:
             out = self._labels[key] = self._label(comp, m)
         return out
+
+    def has_move(self, comp: str, m: Move) -> bool:
+        """m is a move of component comp: its label is found."""
+        try:
+            self.label(comp, m)
+        except (ForeignMove, DepthExceeded):
+            return False
+        return True
 
     def _label(self, comp: str, m: Move) -> tuple[str, str]:
         o, q = self.arena(comp).label(m)
@@ -87,6 +110,7 @@ class Play:
     entries: tuple[Entry, ...] = ()
     # (renaming, per-family counts, canonical entries); see `canon`
     _canon: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def _map_atoms_(self, pi: Permutation) -> "Play":
         return Play(self.board, tuple(e._map_atoms_(pi) for e in self.entries))
@@ -100,12 +124,13 @@ class Play:
         return len(self.entries)
 
     def append(self, e: Entry) -> "Play":
-        """The play followed by e; its canonical state grows by e alone."""
+        """The play followed by e; its canonical state and key grow by e alone."""
         ren, counts, canon = self.canon()
-        if not all(a in ren for a in e.move.atoms + e.delta):
+        if not all(map(ren.__contains__, e.move.atoms + e.delta)):
             ren, counts = dict(ren), dict(counts)
-        state = (ren, counts, canon + (_canon_step(ren, counts, e),))
-        return Play(self.board, self.entries + (e,), state)
+        ce = _canon_step(ren, counts, e)
+        key = self.key() + (entry_id(ce),)
+        return Play(self.board, self.entries + (e,), (ren, counts, canon + (ce,)), key)
 
     def canon(self) -> tuple[dict[Atom, Atom], dict, tuple[Entry, ...]]:
         """The renaming of the atoms to 0, 1, ... per family in order of first
@@ -116,6 +141,13 @@ class Play:
             canon = tuple(_canon_step(ren, counts, e) for e in self.entries)
             object.__setattr__(self, "_canon", (ren, counts, canon))
         return self._canon
+
+    def key(self) -> tuple[int, ...]:
+        """The canonical entries as ids: two plays have equal keys exactly
+        when their canonical entries are equal."""
+        if self._key is None:
+            object.__setattr__(self, "_key", tuple(map(entry_id, self.canon()[2])))
+        return self._key
 
     def polarity(self, i: int) -> str:
         return self.board.label(self.entries[i].comp, self.entries[i].move)[0]
@@ -149,6 +181,16 @@ class Play:
             side = "  " * (0 if e.comp == SRC else 1)
             lines.append(f"{i:3} {side}{e.comp}:{e.move}{nl}  {o}{q}{ptr}")
         return "\n".join(lines)
+
+
+# One id per distinct entry, for the life of the process.  The table names
+# entries and caches no result, so no reset needs to clear it.
+_IDS: dict[tuple, int] = {}
+
+
+def entry_id(e: Entry) -> int:
+    # keyed on the fields Entry's eq compares: a plain tuple hashes faster
+    return _IDS.setdefault((e.comp, e.move.addr, e.move.pay, e.justifier, e.delta), len(_IDS))
 
 
 def _canon_step(ren: dict, counts: dict, e: Entry) -> Entry:
@@ -247,7 +289,7 @@ def check_play(p: Play, mode: str = "plain") -> Verdict:
     open_q: list[int] = []  # pending-question stack for bracketing
     for i, e in enumerate(p.entries):
         # structure: move exists, justifier enables, first move initial
-        if not bd.arena(e.comp).has_move(e.move):
+        if not bd.has_move(e.comp, e.move):
             v.append(Violation("structure", i, f"foreign move {e.move}"))
             return Verdict(tuple(v))
         if i == 0:
@@ -339,25 +381,21 @@ def introduced_names(p: Play) -> set[Atom]:
 # Composition: parallel interaction, mix, hiding
 # ---------------------------------------------------------------------------
 
-A_PART, B_PART, C_PART = "A", "B", "C"
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IEntry:
-    part: str  # 'A' | 'B' | 'C'
+    """An entry of an interaction of plays 1..n over arenas 0..n: played in
+    arena `iface` (0 and n are the outer ones) by `owner` (0 for the
+    environment, else a play)."""
+
+    iface: int
     move: Move
     justifier: Optional[int]
     delta: tuple[Atom, ...]
-    owner: str  # 'env' | 'sigma' | 'tau'
+    owner: int
 
     def _map_atoms_(self, pi):
-        return IEntry(
-            self.part,
-            self.move._map_atoms_(pi),
-            self.justifier,
-            tuple(pi(a) for a in self.delta),
-            self.owner,
-        )
+        move, delta = self.move._map_atoms_(pi), tuple(map(pi, self.delta))
+        return IEntry(self.iface, move, self.justifier, delta, self.owner)
 
     def _iter_atoms_(self):
         yield from self.move.atoms
@@ -366,9 +404,9 @@ class IEntry:
 
 @dataclass(frozen=True)
 class Interaction:
-    """A parallel interaction over arenas A, B, C with its final name-list."""
+    """A parallel interaction over its arenas with its final name-list."""
 
-    arenas: tuple[Arena, Arena, Arena]
+    arenas: tuple[Arena, ...]
     entries: tuple[IEntry, ...] = ()
 
     def _iter_atoms_(self):
@@ -383,7 +421,7 @@ class Interaction:
     def nlists(self) -> list[tuple[Atom, ...]]:
         out: list[tuple[Atom, ...]] = []
         for i, e in enumerate(self.entries):
-            if e.owner != "env":
+            if e.owner:
                 prev = out[i - 1] if i else ()
                 out.append(prev + e.delta)
             elif e.justifier is None:
@@ -478,57 +516,49 @@ def compose_plays(s: Play, t: Play) -> tuple[Interaction, Play]:
         t_adv = j > j0
         if s_adv and t_adv:  # shared B-move
             se, te = s.entries[i - 1], t.entries[j - 1]
-            owner = "sigma" if (i - 1) % 2 == 1 else "tau"
-            delta = se.delta if owner == "sigma" else te.delta
+            owner = 1 if (i - 1) % 2 == 1 else 2
+            delta = se.delta if owner == 1 else te.delta
             just = (
                 s_at.get(se.justifier) if se.justifier is not None else None
             )
-            entries.append(IEntry(B_PART, se.move, just, tuple(delta), owner))
+            entries.append(IEntry(1, se.move, just, tuple(delta), owner))
             s_at[i - 1] = u_idx
             t_at[j - 1] = u_idx
         elif s_adv:
             se = s.entries[i - 1]
-            owner = "sigma" if (i - 1) % 2 == 1 else "env"
+            owner = 1 if (i - 1) % 2 == 1 else 0
             just = s_at.get(se.justifier) if se.justifier is not None else None
-            entries.append(IEntry(A_PART, se.move, just, tuple(se.delta), owner))
+            entries.append(IEntry(0, se.move, just, tuple(se.delta), owner))
             s_at[i - 1] = u_idx
         elif t_adv:
             te = t.entries[j - 1]
-            owner = "tau" if (j - 1) % 2 == 1 else "env"
+            owner = 2 if (j - 1) % 2 == 1 else 0
             just = t_at.get(te.justifier) if te.justifier is not None else None
-            entries.append(IEntry(C_PART, te.move, just, tuple(te.delta), owner))
+            entries.append(IEntry(2, te.move, just, tuple(te.delta), owner))
             t_at[j - 1] = u_idx
     u = Interaction((s.board.src, s.board.tgt, t.board.tgt), tuple(entries))
     return u, hide(u, Board(s.board.src, t.board.tgt))
 
 
 def hide(u: Interaction, board: Board) -> Play:
-    """Project an interaction to its outer components, accumulating the
-    deltas of hidden moves into the next visible generalized P-move."""
+    """Project an interaction to its outer arenas, accumulating the deltas
+    of hidden moves into the next visible generalized P-move."""
+    n = len(u.arenas) - 1
     visible: list[Entry] = []
     u_to_visible: dict[int, int] = {}
-    pending: list[Atom] = []
+    pending: tuple[Atom, ...] = ()
     for idx, e in enumerate(u.entries):
-        if e.part == B_PART:
-            pending.extend(e.delta)
+        if 0 < e.iface < n:
+            pending += e.delta
             continue
-        comp = SRC if e.part == A_PART else TGT
         just = e.justifier
-        if just is not None and u.entries[just].part == B_PART:
-            # the target initial is justified by the hidden i_B: re-anchor
-            j = just
-            while j is not None and u.entries[j].part == B_PART:
-                j = u.entries[j].justifier
-            just = j
+        while just is not None and 0 < u.entries[just].iface < n:
+            just = u.entries[just].justifier  # a target initial: re-anchor
         vis_j = u_to_visible[just] if just is not None else None
-        if e.owner == "env":
-            delta = tuple(e.delta)
-            pending = []
-        else:
-            delta = tuple(pending) + tuple(e.delta)
-            pending = []
+        delta = pending + e.delta if e.owner else e.delta
+        pending = ()
         u_to_visible[idx] = len(visible)
-        visible.append(Entry(comp, e.move, vis_j, delta))
+        visible.append(Entry(SRC if e.iface == 0 else TGT, e.move, vis_j, delta))
     return Play(board, tuple(visible))
 
 

@@ -2,8 +2,10 @@
 
 A strategy answers odd-length P-views (as plays) with the next move, its
 justifier inside the view, and the list of freshly introduced names.
-Responses are memoized on orbit-canonical views, which both enforces
-determinacy up to renaming and keeps fresh-name choices reproducible.
+Responses are memoized on the keys of orbit-canonical views, which both
+enforces determinacy up to renaming and keeps fresh-name choices
+reproducible.  Every kind keeps what it computed for the view it answered
+last and redoes only the work after the prefix a new view shares with it.
 
 Three kinds of strategies cover everything downstream:
 
@@ -13,10 +15,12 @@ Three kinds of strategies cover everything downstream:
   move (identities, projections, the diagonal, the structural
   isomorphisms, constants): it answers with a function of the initial
   payload, refused when outside the target's initial schema, and copies
-  moves between fixed prefixes from then on;
+  moves between fixed prefixes from then on.  A machine keeps the steps
+  of its last replay;
 * view transformers: combinators (pairing, tensor, lifting, currying,
   head separation) on one engine that renames the view zone by zone into
-  an inner strategy's view and the inner answer back;
+  an inner strategy's view and the inner answer back, growing the inner
+  view kept for the shared prefix;
 * chains: composites that replay the view through an n-ary parallel
   interaction of their parts, kept and resumed from the prefix shared.
 """
@@ -60,30 +64,12 @@ from .nominal import (
     renaming,
     support,
 )
-from .plays import Board, Entry, Play, SRC, TGT, check_play, view_indices
+from .plays import Board, Entry, IEntry, Interaction, Play, SRC, TGT, check_play, entry_id
+from .plays import hide, view_indices
 
 
-@dataclass(frozen=True)
-class Response:
-    comp: str
-    move: Move
-    justifier: int
-    delta: tuple[Atom, ...] = ()
-
-    def entry(self) -> Entry:
-        return Entry(self.comp, self.move, self.justifier, self.delta)
-
-    def _map_atoms_(self, pi):
-        return Response(
-            self.comp,
-            self.move._map_atoms_(pi),
-            self.justifier,
-            tuple(pi(a) for a in self.delta),
-        )
-
-    def _iter_atoms_(self):
-        yield from self.move.atoms
-        yield from self.delta
+# A response is the entry that extends the view it answers, justified inside it.
+Response = Entry
 
 
 class CompositionBudget(Exception):
@@ -93,10 +79,6 @@ class CompositionBudget(Exception):
 
 class OracleError(RuntimeError):
     pass
-
-
-def extend_view(view: Play, r: Response) -> Play:
-    return view.append(r.entry())
 
 
 def _freshen(r: Response, taboo: set[Atom]) -> Response:
@@ -118,13 +100,25 @@ def _freshen(r: Response, taboo: set[Atom]) -> Response:
 _UNSEEN = object()
 
 
+def _resume(kept: tuple, view: Play) -> tuple[tuple[int, ...], int]:
+    """The ids of the view's own entries, and how many leading ones it shares
+    with the ids `kept`.  A view as `respond` passes it on is its own
+    canonical form, and its ids are its key."""
+    own = view.canon()[2] is view.entries
+    ids = view.key() if own else tuple(map(entry_id, view.entries))
+    s, top = 0, min(len(ids), len(kept))
+    while s < top and ids[s] == kept[s]:
+        s += 1
+    return ids, s
+
+
 class Strategy:
     """Base class: deterministic innocent oracle over a fixed board."""
 
     def __init__(self, board: Board, name: str = "?"):
         self.board = board
         self.name = name
-        self._memo: dict[tuple, Optional[Response]] = {}
+        self._memo: dict[tuple[int, ...], Optional[Response]] = {}
 
     def __repr__(self):
         return f"<{self.name} : {self.board}>"
@@ -133,10 +127,12 @@ class Strategy:
     def respond(self, view: Play) -> Optional[Response]:
         if len(view) % 2 != 1:
             raise OracleError(f"{self.name}: view length {len(view)} not odd")
-        ren, _, key = view.canon()
+        ren, counts, canon = view.canon()
+        key = view.key()
         r = self._memo.get(key, _UNSEEN)
         if r is _UNSEEN:
-            r = self.respond_raw(Play(view.board, key))
+            own = {b: b for b in ren.values()}  # a canonical view renames nothing
+            r = self.respond_raw(Play(view.board, canon, (own, counts, canon), key))
             if r is not None and r.delta:
                 r = _freshen(r, set(ren.values()))
             self._memo[key] = r
@@ -151,10 +147,6 @@ class Strategy:
 
     def respond_raw(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
-
-    # -- fresh helper --------------------------------------------------------
-    def fresh(self, family, view: Play, extra: Iterable[Atom] = ()) -> Atom:
-        return fresh_atom(family, set(support(view)) | set(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +176,8 @@ class MachineStrategy(Strategy):
     Zones returned are anchored at the response's index.
     """
 
+    _kept: Optional[tuple] = None  # (view ids, responses, links) of the last replay
+
     def prelude(self, view, i):
         return None
 
@@ -193,27 +187,31 @@ class MachineStrategy(Strategy):
     def replay(self, view: Play, start: int, links: dict) -> Optional[Response]:
         """Decide the responses at indices start, start + 2, ... of the view,
         each checked against the view; `links` maps a response's index to
-        the zones it opened."""
-        for k in range(start, len(view) + 1, 2):
-            x = view.entries[k - 1]
-            out = self.prelude(Play(view.board, view.entries[:k]), k - 1)
-            out = out or mirror(self.board, x, k - 1, links.get(x.justifier, ()))
-            if out is None:
-                if k < len(view):
-                    raise OracleError(f"{self.name}: view extends a non-response")
-                return None
-            r, links[k] = out
-            if k < len(view):
-                actual = view.entries[k]
-                if (actual.comp, actual.move, actual.justifier) != (
-                    r.comp,
-                    r.move,
-                    r.justifier,
-                ):
-                    raise OracleError(
-                        f"{self.name}: view disagrees with oracle at {k}: "
-                        f"{actual} vs {r}"
-                    )
+        the zones it opened.  The steps the view shares with the view replayed
+        last, and their links, are kept, so each call of a machine must pass
+        the same `start` and `links`.  A raise drops them."""
+        (kept, rs, links), self._kept = self._kept or ((), [], links), None
+        ids, s = _resume(kept, view)
+        del rs[max((s - start) // 2 + 1, 0):]  # the steps at indices up to s
+        for k in [k for k in links if k >= start + 2 * len(rs)]:
+            del links[k]
+        for k in range(start + 2 * max(len(rs) - 1, 0), len(view) + 1, 2):
+            if len(rs) == (k - start) // 2:
+                x = view.entries[k - 1]
+                out = self.prelude(Play(view.board, view.entries[:k]), k - 1)
+                out = out or mirror(self.board, x, k - 1, links.get(x.justifier, ()))
+                if out is None:
+                    if k < len(view):
+                        raise OracleError(f"{self.name}: view extends a non-response")
+                    self._kept = (ids, rs, links)
+                    return None
+                rs.append(out[0])
+                links[k] = out[1]
+            r = rs[(k - start) // 2]
+            x = view.entries[k] if k < len(view) else r
+            if (x.comp, x.move, x.justifier) != (r.comp, r.move, r.justifier):
+                raise OracleError(f"{self.name}: view disagrees with oracle at {k}: {x} vs {r}")
+        self._kept = (ids, rs, links)
         return r
 
 
@@ -228,7 +226,7 @@ def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
     if best is None:
         return None
     moved = x.move.at(best.tgt_prefix + x.move.addr[len(best.own_prefix):])
-    if not board.arena(best.tgt_comp).has_move(moved):
+    if not board.has_move(best.tgt_comp, moved):
         return None
     return Response(best.tgt_comp, moved, best.tgt_idx), [best.flip(i)]
 
@@ -452,7 +450,7 @@ class NewName(MachineStrategy):
                 names, pa = p0[1], p0[2]
             else:
                 names, pa = (), p0[2]
-            c = self.fresh(self.family, view)
+            c = fresh_atom(self.family, support(view))
             r = Response(
                 TGT, Move(("a",), (PAIR, tuple(names) + (c,), pa)), 2, (c,)
             )
@@ -630,9 +628,14 @@ class ZonedTransform(Strategy):
     Views shorter than `start` go to `head`.  For the others `prefix`
     returns the inner strategy, the inner entries replacing the outer
     entries [0, start), and the table renaming every later entry; the
-    inner response comes back through the same table."""
+    inner response comes back through the same table.  The inner view of
+    each prefix of the view answered last is kept with what `prefix`
+    returned for it; while `prefix` returns the same, a view grows the inner
+    view of the prefix it shares by its later entries alone.  A raise drops
+    them."""
 
     start = 1
+    _kept: Optional[tuple] = None  # (prefix's value, view ids, inner views)
 
     def head(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
@@ -648,9 +651,17 @@ class ZonedTransform(Strategy):
         if out is None:
             return None
         inner, entries, table = out
+        kept, self._kept = self._kept, None
+        if kept is None or kept[0] != out:
+            kept = (out, (), [Play(inner.board, entries)])
+        ids, s = _resume(kept[1], view)
+        views = kept[2]  # views[i]: the inner view of the first start + i entries
+        del views[max(s - self.start, 0) + 1:]
         shift = len(entries) - self.start
-        rest = (table.fwd(e, shift) for e in view.entries[self.start:])
-        r = inner.respond(Play(inner.board, (*entries, *rest)))
+        for e in view.entries[self.start + len(views) - 1:]:
+            views.append(views[-1].append(table.fwd(e, shift)))
+        r = inner.respond(views[-1])
+        self._kept = (out, ids, views)
         return None if r is None else table.bwd(r, shift)
 
 
@@ -898,28 +909,6 @@ class TotalRestrict(Strategy):
 # Composition: n-ary parallel interaction replayed against the view
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class UEntry:
-    iface: int
-    move: Move
-    justifier: Optional[int]
-    delta: tuple[Atom, ...]
-    owner: int  # 0 = environment, else strategy index (1-based)
-
-    def _iter_atoms_(self):
-        yield from self.move.atoms
-        yield from self.delta
-
-    def _map_atoms_(self, pi):
-        return UEntry(
-            self.iface,
-            self.move._map_atoms_(pi),
-            self.justifier,
-            tuple(pi(a) for a in self.delta),
-            self.owner,
-        )
-
-
 class Projection:
     """Part i's projection of an interaction (its interfaces i-1 and i),
     grown as the interaction grows, with the P-view at every projected
@@ -967,9 +956,10 @@ class Projection:
 
 
 class _Work:
-    """A chain's working interaction: the view answered last, the interaction u
-    played for it, view index <-> u index, each part's projection, a mark (len(u),
-    prefix support, atoms of u) per even prefix, and the answer's pending bounce."""
+    """A chain's working interaction: the ids of the view answered last, the
+    interaction u played for it, view index <-> u index, each part's
+    projection, a mark (len(u), prefix support, atoms of u) per even prefix,
+    and the answer's pending bounce."""
 
     __slots__ = ("view", "u", "vmap", "inv", "projs", "marks", "pending")
 
@@ -996,7 +986,7 @@ class ChainStrategy(Strategy):
         self._work: Optional[_Work] = None
 
     # -- projections ---------------------------------------------------------
-    def _project(self, u: list[UEntry], proj: Projection) -> Projection:
+    def _project(self, u: list[IEntry], proj: Projection) -> Projection:
         """Extend part proj.i's projection over the entries of u it has not
         seen: the moves on its interfaces i-1 and i, with its own deltas."""
         i = proj.i
@@ -1019,7 +1009,7 @@ class ChainStrategy(Strategy):
         return proj
 
     def _bounce(
-        self, u: list[UEntry], receiver: int, live: set[Atom], projs: list[Projection]
+        self, u: list[IEntry], receiver: int, live: set[Atom], projs: list[Projection]
     ) -> Optional[tuple[int, list[int]]]:
         """Let strategies react until the ball leaves to an outer interface.
         `live` holds every atom of u and grows with it; `projs` holds each
@@ -1045,7 +1035,7 @@ class ChainStrategy(Strategy):
             iface = (receiver - 1) if r.comp == SRC else receiver
             r = _freshen(r, live)
             live.update(r._iter_atoms_())
-            u.append(UEntry(iface, r.move, u_j, r.delta, receiver))
+            u.append(IEntry(iface, r.move, u_j, r.delta, receiver))
             added.append(len(u) - 1)
             if iface == 0 or iface == n:
                 return len(u) - 1, added
@@ -1060,9 +1050,7 @@ class ChainStrategy(Strategy):
         w, self._work = self._work or _Work(self.parts), None
         es, n = view.entries, len(self.parts)
         u, vmap, inv, projs, marks = w.u, w.vmap, w.inv, w.projs, w.marks
-        s, top = 0, min(len(es), len(w.view))
-        while s < top and es[s] == w.view[s]:
-            s += 1
+        ids, s = _resume(w.view, view)
         if w.pending and s == len(w.view) < len(es):
             s += 1
             self._settle(w, es, *w.pending)
@@ -1075,8 +1063,8 @@ class ChainStrategy(Strategy):
         del marks[at // 2 + 1:], u[nu:], vmap[at:]
         for proj in projs:
             proj.truncate(nu)
-        w.view, w.pending = es, None
-        taboo = support(view)
+        w.view, w.pending = ids, None
+        taboo = frozenset(view.canon()[0])  # the atoms of the view
         live = set(taboo).union(uat)
         for i in range(at, len(es), 2):
             e = es[i]
@@ -1084,7 +1072,7 @@ class ChainStrategy(Strategy):
             inv[len(u)] = i
             vmap.append(len(u))
             just = vmap[e.justifier] if e.justifier is not None else None
-            u.append(UEntry(iface, e.move, just, (), 0))
+            u.append(IEntry(iface, e.move, just, (), 0))
             out = self._bounce(u, 1 if iface == 0 else n, live, projs)
             if out is None:
                 return None
@@ -1208,7 +1196,7 @@ def viewfunction(
             r = sigma.respond(odd)
             if r is None:
                 continue
-            even = extend_view(odd, r)
+            even = odd.append(r)
             key = even.canon()[2]
             if key in table:
                 continue
@@ -1247,10 +1235,7 @@ class TableStrategy(Strategy):
         if hit is None:
             return None
         # transport the stored answer onto this (canonical) view
-        stored_prefix = Play(hit.board, hit.entries[:-1])
-        pi = canonical_perm(stored_prefix)
-        answer = hit.entries[-1]._map_atoms_(pi)
-        return Response(answer.comp, answer.move, answer.justifier, answer.delta)
+        return hit.entries[-1]._map_atoms_(canonical_perm(Play(hit.board, hit.entries[:-1])))
 
 
 def strat_of_viewf(vf: Viewfunction) -> Strategy:
@@ -1366,7 +1351,7 @@ def determinacy_fuzz(sigma: Strategy, depth: int, budget=None) -> Optional[str]:
             if r is None:
                 continue
             ckey = odd.canon()[2]
-            even = extend_view(odd, r)
+            even = odd.append(r)
             if ckey in seen and seen[ckey] != even.canon()[2]:
                 return f"determinacy broken after {odd.pretty()}"
             seen[ckey] = even.canon()[2]
@@ -1411,7 +1396,7 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
     plays (s, t) it induces.  None when the walk dies immediately."""
     chain = ChainStrategy([sigma, tau])
     n = 2
-    u: list[UEntry] = []
+    u: list[IEntry] = []
     live: set[Atom] = set()
     projs = [Projection(sigma.board, 1), Projection(tau.board, 2)]
     composite = Play(chain.board)
@@ -1425,7 +1410,7 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
             # composite play indices map to u indices of outer entries
             outer = [i for i, e in enumerate(u) if e.iface in (0, n)]
             u_j = outer[ext.justifier]
-        u.append(UEntry(0 if ext.comp == SRC else n, ext.move, u_j, (), 0))
+        u.append(IEntry(0 if ext.comp == SRC else n, ext.move, u_j, (), 0))
         live.update(ext.move.atoms)
         receiver = 1 if ext.comp == SRC else n
         out = chain._bounce(u, receiver, live, projs)
@@ -1434,30 +1419,7 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
             for proj in projs:
                 proj.truncate(len(u))
             break
-        exit_idx, _ = out
-        exit_entry = u[exit_idx]
-        outer = [i for i, e in enumerate(u) if e.iface in (0, n)]
-        remap = {ui: k for k, ui in enumerate(outer)}
-        comp_entries = []
-        pending: list[Atom] = []
-        last_seen = -1
-        for ui in outer:
-            pending = [
-                a
-                for j in range(last_seen + 1, ui)
-                if u[j].iface not in (0, n)
-                for a in u[j].delta
-            ]
-            last_seen = ui
-            e = u[ui]
-            j = e.justifier
-            while j is not None and u[j].iface not in (0, n):
-                j = u[j].justifier
-            delta = tuple(pending) + tuple(e.delta) if e.owner != 0 else e.delta
-            comp_entries.append(
-                Entry(SRC if e.iface == 0 else TGT, e.move,
-                      remap[j] if j is not None else None, delta)
-            )
-        composite = Play(chain.board, tuple(comp_entries))
+        arenas = (sigma.board.src, sigma.board.tgt, tau.board.tgt)
+        composite = hide(Interaction(arenas, tuple(u)), chain.board)
     s_play, t_play = (Play(p.board, tuple(chain._project(u, p).entries)) for p in projs)
     return s_play, t_play, composite

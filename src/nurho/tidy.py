@@ -54,7 +54,6 @@ from .strategies import (
     ZoneTable,
     assoc_rt,
     compose,
-    extend_view,
     identity,
     o_extensions,
     pay_at,
@@ -159,7 +158,7 @@ def check_tidy(sigma: Strategy, bound: int = 8, budget: Optional[Budget] = None)
                         TidyViolation("TD1", odd, i, "no reply to a store question")
                     )
                     continue
-                r_cls = classify_entry(board, r.entry())
+                r_cls = classify_entry(board, r)
                 is_answer = (
                     r_cls == STORE_A and r.justifier == i and not r.delta
                 )
@@ -181,7 +180,7 @@ def check_tidy(sigma: Strategy, bound: int = 8, budget: Optional[Budget] = None)
                         )
             if r is None:
                 continue
-            r_cls = classify_entry(board, r.entry())
+            r_cls = classify_entry(board, r)
             if r_cls == STORE_Q:
                 want = last_o_store_handle(board, odd)
                 if want is None or r.justifier != want:
@@ -203,7 +202,7 @@ def check_tidy(sigma: Strategy, bound: int = 8, budget: Optional[Budget] = None)
                     violations.append(
                         TidyViolation("TD3", odd, i, f"copycat broken by {r.move}")
                     )
-            even = extend_view(odd, r)
+            even = odd.append(r)
             if len(even) < bound:
                 frontier.append(even)
             # good store discipline: handles alternate, O first
@@ -276,7 +275,7 @@ def restrict(sigma: Strategy, t: Play, depth: int = 10, budget=None) -> Strategy
             r = sigma.respond(view)
             if r is None:
                 return None
-            even = extend_view(view, r)
+            even = view.append(r)
             cut = trunc_view(board, even, primed=True)
             if cut.canon()[2] in keys:
                 return r
@@ -666,7 +665,7 @@ def head_responses(sigma: Strategy, ctx: SynthContext) -> dict:
         r1 = sigma.respond(v1)
         if r1 is None or r1.move != Move((), STAR):
             continue
-        v3 = extend_view(v1, r1).append(
+        v3 = v1.append(r1).append(
             Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ())
         )
         r2 = sigma.respond(v3)
@@ -715,7 +714,7 @@ def decompose(
         case.recombined = rec
         return case
     m0 = x0.move
-    cls = classify_entry(sigma.board, x0.entry())
+    cls = classify_entry(sigma.board, x0)
     if cls == STORE_Q:
         c_ty = m0.pay.family
         inner = deref_case_strategy(sigma, ctx.names, ctx.gamma, c_ty, ctx.k)
@@ -765,7 +764,7 @@ def _find_update(sigma, ctx, init_pay, m0: Move):
             r = sigma.respond(probe)
             if r is None:
                 continue
-            if classify_entry(sigma.board, r.entry()) == STORE_A and r.justifier == 4:
+            if classify_entry(sigma.board, r) == STORE_A and r.justifier == 4:
                 return a, a.family
     return None
 

@@ -76,7 +76,6 @@ from nurho.strategies import (
     assoc_rt,
     classify,
     compose,
-    extend_view,
     identity,
     legal_o_extensions_of_play,
     random_interaction,
@@ -805,7 +804,7 @@ def test_11_worked_equivalence():
     ))
     r = dn.respond(probe)
     assert r is not None  # N calls its argument: f skip
-    nxt = extend_view(probe, r).append(
+    nxt = probe.append(r).append(
         Entry(TGT, Move(r.move.addr[:-1] + ("b",), (PAIR, STAR, STORE0)), 5, ())
     )
     assert dn.respond(nxt) is None  # then deadlocks: stop

@@ -228,7 +228,7 @@ class TestSpotLemmas:
         r1 = d.respond(v1)
         if r1 is None:
             return False
-        v3 = Play(d.board, v1.entries + (r1.entry(),)).append(
+        v3 = Play(d.board, v1.entries + (r1,)).append(
             Entry(TGT, Move(("j",), (MERGE, STORE0)), 1, ())
         )
         r2 = d.respond(v3)

@@ -1,8 +1,12 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nurho import plays
 from nurho.arenas import (
+    ForeignMove,
     Imp,
     Lift,
     MERGE,
@@ -17,8 +21,10 @@ from nurho.arenas import (
     Tensor,
     mk_imp,
 )
-from nurho.nominal import Atom, apply_perm, canonical_perm, support
+from nurho.nominal import Atom, Permutation, apply_perm, canonical_perm, support
 from nurho.plays import (
+    SRC,
+    TGT,
     Board,
     Entry,
     Play,
@@ -205,7 +211,7 @@ class TestComposition:
         seen = {}
         for answered, asked in pairs:
             u, _ = compose_plays(s, apply_play(answered, asked))
-            key = tuple((e.part, e.move, e.justifier) for e in u.entries)
+            key = tuple((e.iface, e.move, e.justifier) for e in u.entries)
             assert key not in seen
             seen[key] = (answered, asked)
 
@@ -247,3 +253,42 @@ def test_appended_canonical_state_matches_structural(entries):
         assert set(ren.values()) == support(canon)
         assert p.canonical() == (Play(p.board, canon), pi)
         assert Play(p.board, p.entries).canon() == (ren, counts, canon)
+
+
+@given(st.lists(_entries(), max_size=6), st.lists(_entries(), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_keys_name_canonical_entries(xs, ys):
+    """An appended play's key is the key of the same play built directly, a
+    renamed play has the same key, and two plays have equal keys exactly
+    when their canonical entries are equal."""
+    swap = Permutation.swap(Atom(NAT, 0), Atom(NAT, 2))
+    built = []
+    for entries in (xs, ys):
+        p = Play(Board(One(), One()))
+        for e in entries:
+            p = p.append(e)
+            built += [p, apply_perm(swap, p)]
+    for p in built:
+        assert p.key() == Play(p.board, p.entries).key()
+        for q in built:
+            assert (p.key() == q.key()) == (p.canon()[2] == q.canon()[2])
+    assert all(p.key() == q.key() for p, q in zip(built[::2], built[1::2]))
+
+
+def test_equal_boards_share_one_label_table():
+    """Equal live boards share one label memo, which goes with the last of
+    them; a foreign move is walked, and raises, on every call."""
+    src, tgt = Names(("label-test",)), Lift(NatArena())
+    b1, b2 = Board(src, tgt), Board(src, tgt)
+    assert b1._labels is b2._labels and Board(One(), One())._labels is not b1._labels
+    assert b1.label(SRC, Move((), (Atom("label-test", 0),))) == ("O", "Q")
+    assert b1.label(TGT, Move((), STAR1)) == ("P", "A")
+    foreign = Move(("x",), 0)
+    for _ in range(2):
+        with pytest.raises(ForeignMove):
+            b2.label(TGT, foreign)
+    assert not b2.has_move(TGT, foreign) and b2.has_move(TGT, Move((), STAR1))
+    assert len(b1._labels) == 2
+    del b1, b2
+    gc.collect()
+    assert (src, tgt) not in plays._LABELS

@@ -19,9 +19,9 @@ from nurho.arenas import (
     t_arena,
     translate_type,
 )
-from nurho.nominal import Atom, apply_perm, atoms_of, canonical_perm
+from nurho.nominal import Atom, Permutation, apply_perm, atoms_of, canonical_perm, support
 from nurho.plays import (
-    Board, Entry, Play, SRC, TGT, check_play, is_innocent_play, pview, view_indices,
+    Board, Entry, IEntry, Play, SRC, TGT, check_play, is_innocent_play, pview, view_indices,
 )
 from nurho.strategies import (
     Bang,
@@ -37,6 +37,7 @@ from nurho.strategies import (
     LambdaC,
     LambdaInv,
     LiftF,
+    MachineStrategy,
     NameListProj,
     NatFn,
     NewName,
@@ -49,7 +50,6 @@ from nurho.strategies import (
     St,
     TensorOf,
     TotalRestrict,
-    UEntry,
     Up,
     UpdStrategy,
     ZonedTransform,
@@ -67,7 +67,7 @@ from nurho.strategies import (
     unit_intro_left,
     viewfunction,
 )
-from nurho import model
+from nurho import model, strategies
 from nurho.model import denote, eta, ev_t, sden
 from nurho.nominal import NameList
 from nurho.syntax import NAT, UNIT, Arrow, infer, parse_term
@@ -669,17 +669,27 @@ def test_chain_views_grow_like_fresh_projections(monkeypatch):
 def _zoo_tables(monkeypatch, fresh: bool) -> dict:
     """The depth-8 tables and plays of the zoo, built on fresh memos; with
     `fresh`, every chain answers every view from a new working interaction,
-    as a fresh chain does."""
-    raw = ChainStrategy.respond_raw
+    and every transformer and machine from no kept state, as fresh ones do."""
+    raw, zoned, replay = ChainStrategy.respond_raw, ZonedTransform.respond_raw, MachineStrategy.replay
 
     def fresh_raw(self, view):
         self._work = None
         return raw(self, view)
 
+    def fresh_zoned(self, view):
+        self._kept = None
+        return zoned(self, view)
+
+    def fresh_replay(self, view, *rest):
+        self._kept = None
+        return replay(self, view, *rest)
+
     out = {}
     with monkeypatch.context() as m:
         if fresh:
             m.setattr(ChainStrategy, "respond_raw", fresh_raw)
+            m.setattr(ZonedTransform, "respond_raw", fresh_zoned)
+            m.setattr(MachineStrategy, "replay", fresh_replay)
         m.setattr(model, "_DEN_CACHE", {})
         for name, build in transformer_zoo().items():
             vf = viewfunction(build(), 8, GOLD)
@@ -710,6 +720,88 @@ def test_chains_resume_and_answer_like_fresh_chains(monkeypatch):
     resumed = _zoo_tables(monkeypatch, fresh=False)
     assert seen["calls"] > 1000 and 2 * seen["resumed"] >= seen["calls"], seen
     assert resumed == _zoo_tables(monkeypatch, fresh=True)
+
+
+def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch):
+    """A transformer grows the inner view it kept for the prefix a view
+    shares with the view it answered last, and a machine replays only the
+    steps after that prefix.  The zoo's tables and plays are those of
+    strategies that keep nothing, and most calls of each kind resume."""
+    resume, stack = strategies._resume, []
+    seen = {ZonedTransform: [0, 0], MachineStrategy: [0, 0]}  # calls, resumed
+
+    def tracked(fn, kind, start=lambda self, rest: self.start):
+        def run(self, view, *rest):
+            stack.append((kind, start(self, rest)))
+            try:
+                return fn(self, view, *rest)
+            finally:
+                stack.pop()
+        return run
+
+    def counted_resume(kept, view):
+        ids, s = resume(kept, view)
+        kind, start = stack[-1]
+        if kind is ZonedTransform and len(view) > start:
+            seen[kind][0] += 1
+            seen[kind][1] += s > start  # an inner view grown before is reused
+        elif kind is MachineStrategy and len(view) > start + 1:
+            seen[kind][0] += 1
+            seen[kind][1] += s >= start  # the steps up to s are reused
+        return ids, s
+
+    monkeypatch.setattr(strategies, "_resume", counted_resume)
+    monkeypatch.setattr(
+        ZonedTransform, "respond_raw", tracked(ZonedTransform.respond_raw, ZonedTransform)
+    )
+    monkeypatch.setattr(MachineStrategy, "replay", tracked(
+        MachineStrategy.replay, MachineStrategy, lambda self, rest: rest[0]
+    ))
+    monkeypatch.setattr(ChainStrategy, "respond_raw", tracked(
+        ChainStrategy.respond_raw, None, lambda self, rest: 0
+    ))
+    resumed = _zoo_tables(monkeypatch, fresh=False)
+    for calls, hits in seen.values():
+        assert calls > 500 and 2 * hits >= calls, seen
+    assert resumed == _zoo_tables(monkeypatch, fresh=True)
+
+
+def test_raw_views_resume_on_their_own_entries_only():
+    """respond_raw on a view that is not canonical resumes from the entries
+    it shares with the view answered last, not from a canonical key that
+    matches: a view renamed after it was answered gets the renamed answer."""
+    swap = Permutation.swap(aN, bN)
+    den = transformer_zoo()["den-nu-assign-deref"]()
+    kinds = {
+        "machine": (DrfStrategy(NAT, 1), lambda: DrfStrategy(NAT, 1)),
+        "transformer": (LiftF(DrfStrategy(NAT, 1)), lambda: LiftF(DrfStrategy(NAT, 1))),
+        "chain": (den, lambda: ChainStrategy(den.parts)),
+    }
+    for kind, (s, fresh) in kinds.items():
+        renamed = 0
+        for v in viewfunction(s, 8, GOLD).plays.values():
+            for cut in range(1, len(v), 2):
+                view = Play(s.board, v.entries[:cut])
+                moved = apply_perm(swap, view)
+                r = s.respond_raw(view)
+                got = s.respond_raw(moved)
+                assert got == fresh().respond_raw(moved), (kind, moved.pretty())
+                renamed += got != r and support(got) != support(r)
+        assert renamed, kind
+
+
+def test_moves_carry_their_atoms_in_walk_order():
+    """A permuted move carries the permuted atom tuple, which is the order
+    atoms_of walks, on every move of the golden tables; the atoms of a
+    payload that holds a frozenset are walked again."""
+    zoo = transformer_zoo()
+    for name in sorted(GOLDEN):
+        vf = viewfunction(zoo[name](), 8, GOLD)
+        for entries in [*vf.table, *(p.entries for p in vf.plays.values())]:
+            for e in entries:
+                assert e.move.atoms == tuple(atoms_of(e.move.pay)), (name, e)
+    m = Move(("q",), frozenset({(aN, 0), (bN, 1)}))._map_atoms_(Permutation.swap(aN, bN))
+    assert m.atoms == tuple(atoms_of(m.pay)) == (aN, bN)
 
 
 def test_chain_drops_its_interaction_when_a_bounce_raises(monkeypatch):
@@ -755,5 +847,5 @@ def test_nominal_values_are_slotted():
     twin = Move(("q",), (PAIR, aN, bN))
     assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
     e = Entry(SRC, m, None, (aN,))
-    for x in (aN, m, e, UEntry(0, m, None, (), 0)):
+    for x in (aN, m, e, IEntry(0, m, None, (), 0)):
         assert not hasattr(x, "__dict__"), type(x).__name__

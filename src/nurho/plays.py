@@ -381,7 +381,7 @@ def introduced_names(p: Play) -> set[Atom]:
 # Composition: parallel interaction, mix, hiding
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class IEntry:
     """An entry of an interaction of plays 1..n over arenas 0..n: played in
     arena `iface` (0 and n are the outer ones) by `owner` (0 for the

@@ -5,7 +5,8 @@ justifier inside the view, and the list of freshly introduced names.
 Responses are memoized on the keys of orbit-canonical views, which both
 enforces determinacy up to renaming and keeps fresh-name choices
 reproducible.  Every kind keeps what it computed for the view it answered
-last and redoes only the work after the prefix a new view shares with it.
+last and redoes the work after the prefix a new view shares with it; only
+a transformer's `prefix` still reads the whole view on every call.
 
 Three kinds of strategies cover everything downstream:
 
@@ -176,21 +177,19 @@ class MachineStrategy(Strategy):
     Zones returned are anchored at the response's index.
     """
 
+    start = 1  # the index of the first response decided
+    links: dict = {}  # the zones open before start, by the index opening them
     _kept: Optional[tuple] = None  # (view ids, responses, links) of the last replay
 
     def prelude(self, view, i):
         return None
 
     def respond_raw(self, view: Play) -> Optional[Response]:
-        return self.replay(view, 1, {})
-
-    def replay(self, view: Play, start: int, links: dict) -> Optional[Response]:
         """Decide the responses at indices start, start + 2, ... of the view,
-        each checked against the view; `links` maps a response's index to
-        the zones it opened.  The steps the view shares with the view replayed
-        last, and their links, are kept, so each call of a machine must pass
-        the same `start` and `links`.  A raise drops them."""
-        (kept, rs, links), self._kept = self._kept or ((), [], links), None
+        each checked against it.  The steps shared with the view replayed
+        last, and the zones they opened, are kept; a raise drops them."""
+        start = self.start
+        (kept, rs, links), self._kept = self._kept or ((), [], dict(self.links)), None
         ids, s = _resume(kept, view)
         del rs[max((s - start) // 2 + 1, 0):]  # the steps at indices up to s
         for k in [k for k in links if k >= start + 2 * len(rs)]:
@@ -628,11 +627,10 @@ class ZonedTransform(Strategy):
     Views shorter than `start` go to `head`.  For the others `prefix`
     returns the inner strategy, the inner entries replacing the outer
     entries [0, start), and the table renaming every later entry; the
-    inner response comes back through the same table.  The inner view of
-    each prefix of the view answered last is kept with what `prefix`
-    returned for it; while `prefix` returns the same, a view grows the inner
-    view of the prefix it shares by its later entries alone.  A raise drops
-    them."""
+    inner response comes back through the same table.  `prefix` runs on
+    every call; the inner view of each prefix of the view answered last is
+    kept with its value, and while that stays equal a view grows the inner
+    view of the prefix it shares by its later entries.  A raise drops them."""
 
     start = 1
     _kept: Optional[tuple] = None  # (prefix's value, view ids, inner views)

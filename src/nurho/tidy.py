@@ -558,6 +558,8 @@ class ForgetUpdate(MachineStrategy):
     """Case 3b's sigma': behave like sigma but pass the updated name to the
     previous store instead of answering it."""
 
+    start = 5  # in the thread, copycat the question and all that follows it
+
     def __init__(self, inner: Strategy, m0: Move, q_atom: Atom):
         super().__init__(inner.board, f"{inner.name}∖upd")
         self.inner = inner
@@ -565,6 +567,7 @@ class ForgetUpdate(MachineStrategy):
         self.q_atom = q_atom
         self.zone = _store_zone_of(m0)
         self.m0_comp = _comp_of(m0)
+        self.links = {3: [Zone(self.m0_comp, self.zone, 2, TGT, ("a",))]}
 
     def _in_thread(self, view) -> bool:
         if len(view) < 5:
@@ -580,8 +583,7 @@ class ForgetUpdate(MachineStrategy):
     def respond_raw(self, view):
         if not self._in_thread(view):
             return self.inner.respond(view)
-        # copycat the question, and all that follows it, to the previous store
-        return self.replay(view, 5, {3: [Zone(self.m0_comp, self.zone, 2, TGT, ("a",))]})
+        return super().respond_raw(view)
 
 
 def value_case_strategy(sigma, names, gamma, m0: Move, w_addr: tuple, w_extra,

@@ -670,7 +670,7 @@ def _zoo_tables(monkeypatch, fresh: bool) -> dict:
     """The depth-8 tables and plays of the zoo, built on fresh memos; with
     `fresh`, every chain answers every view from a new working interaction,
     and every transformer and machine from no kept state, as fresh ones do."""
-    raw, zoned, replay = ChainStrategy.respond_raw, ZonedTransform.respond_raw, MachineStrategy.replay
+    raw, zoned, replay = ChainStrategy.respond_raw, ZonedTransform.respond_raw, MachineStrategy.respond_raw
 
     def fresh_raw(self, view):
         self._work = None
@@ -680,16 +680,16 @@ def _zoo_tables(monkeypatch, fresh: bool) -> dict:
         self._kept = None
         return zoned(self, view)
 
-    def fresh_replay(self, view, *rest):
+    def fresh_replay(self, view):
         self._kept = None
-        return replay(self, view, *rest)
+        return replay(self, view)
 
     out = {}
     with monkeypatch.context() as m:
         if fresh:
             m.setattr(ChainStrategy, "respond_raw", fresh_raw)
             m.setattr(ZonedTransform, "respond_raw", fresh_zoned)
-            m.setattr(MachineStrategy, "replay", fresh_replay)
+            m.setattr(MachineStrategy, "respond_raw", fresh_replay)
         m.setattr(model, "_DEN_CACHE", {})
         for name, build in transformer_zoo().items():
             vf = viewfunction(build(), 8, GOLD)
@@ -730,11 +730,11 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
     resume, stack = strategies._resume, []
     seen = {ZonedTransform: [0, 0], MachineStrategy: [0, 0]}  # calls, resumed
 
-    def tracked(fn, kind, start=lambda self, rest: self.start):
-        def run(self, view, *rest):
-            stack.append((kind, start(self, rest)))
+    def tracked(fn, kind):
+        def run(self, view):
+            stack.append((kind, getattr(self, "start", 0)))
             try:
-                return fn(self, view, *rest)
+                return fn(self, view)
             finally:
                 stack.pop()
         return run
@@ -754,12 +754,10 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
     monkeypatch.setattr(
         ZonedTransform, "respond_raw", tracked(ZonedTransform.respond_raw, ZonedTransform)
     )
-    monkeypatch.setattr(MachineStrategy, "replay", tracked(
-        MachineStrategy.replay, MachineStrategy, lambda self, rest: rest[0]
-    ))
-    monkeypatch.setattr(ChainStrategy, "respond_raw", tracked(
-        ChainStrategy.respond_raw, None, lambda self, rest: 0
-    ))
+    monkeypatch.setattr(
+        MachineStrategy, "respond_raw", tracked(MachineStrategy.respond_raw, MachineStrategy)
+    )
+    monkeypatch.setattr(ChainStrategy, "respond_raw", tracked(ChainStrategy.respond_raw, None))
     resumed = _zoo_tables(monkeypatch, fresh=False)
     for calls, hits in seen.values():
         assert calls > 500 and 2 * hits >= calls, seen

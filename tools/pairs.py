@@ -3,10 +3,10 @@
 Usage, from anywhere:
 
   python3 tools/pairs.py PARENT CHANGE --workload W --seeds 401-412 \
-      --out BENCH_12.json [--seconds 30] [--what "..."]
+      --out BENCH_12.json
 
 PARENT and CHANGE are the roots of two checkouts.  For each seed, one pair
-runs `python3 bench/run.py --workload W --seed N --seconds S --trace 0` in
+runs `python3 bench/run.py --workload W --seed N --seconds 30 --trace 0` in
 each checkout, one after the other: odd-numbered pairs run the parent
 first, even-numbered ones the change first.  When the output file exists,
 its runs are kept and the new pairs are numbered after them, so one file
@@ -27,6 +27,10 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "verdict_p50_s", "peak_rss_mb")  # all lower-better
+SECONDS = 30  # the benchmark's run length
+WHAT = ("bench/run.py result lines for the parent and the change checkout in alternating"
+        " pairs (odd-numbered pairs ran the parent first, even-numbered ones the change"
+        " first), listed in the order they ran, written by tools/pairs.py")
 
 
 def metric_summary(parent: list[float], change: list[float]) -> dict:
@@ -82,10 +86,10 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One bench/run.py run in checkout `root`: (environment line, result line)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -108,14 +112,11 @@ def main() -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--what", default="")
     args = ap.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    if args.what:
-        doc["what"] = args.what
-    doc["command"] = (f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g}"
+    doc["what"] = WHAT
+    doc["command"] = (f"python3 bench/run.py --workload W --seed N --seconds {SECONDS}"
                       " --trace 0, from the root of each checkout")
     runs = doc["runs"]
     done = [r["pair"] for r in runs if r["workload"] == args.workload]
@@ -124,7 +125,7 @@ def main() -> int:
     for pair, seed in enumerate(args.seeds, first):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            env, result = run_once(roots[side], args.workload, seed, args.seconds)
+            env, result = run_once(roots[side], args.workload, seed)
             runs.append({"pair": pair, "side": side, "workload": args.workload,
                          "seed": seed, "result": result, "env": env})
             doc.setdefault(side, {k: env["env"][k] for k in ("git_sha", "src_sha256")})
@@ -134,7 +135,7 @@ def main() -> int:
                   f"{result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
         doc["summary"] = summarize(runs)
         keys = ("what", "command", "host", "parent", "change", "summary", "runs")
-        ordered = {k: doc[k] for k in keys if k in doc}
+        ordered = {k: doc[k] for k in keys}
         tmp = args.out.with_suffix(".tmp")
         tmp.write_text(json.dumps(ordered, indent=1) + "\n")
         os.replace(tmp, args.out)

@@ -124,7 +124,7 @@ def cmd_compose(args) -> int:
     if not verdict.ok:
         _emit(args, {"composable": False, "verdict": str(verdict)}, str(verdict))
         return 1
-    u, st = compose_plays(s, t)
+    _, st = compose_plays(s, t)
     _emit(
         args,
         {"composable": True, "composite": play_to_json_full(st)},
@@ -285,7 +285,7 @@ def cmd_equiv(args) -> int:
     unit_fix = TensorOf(
         identity(One()), unit_intro_left(sden(arrow, k))
     )
-    for i in range(args.tests):
+    for _ in range(args.tests):
         l_term = S.alpha_normal(gen.gen(2))
         try:
             S.typecheck(NameList(), [arrow], l_term)

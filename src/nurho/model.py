@@ -93,7 +93,7 @@ def ev_lift(a: Arena, k: int) -> Strategy:
 
 def t_map(f: Strategy, k: int) -> Strategy:
     """The monad's functor action on f : a -> b."""
-    a, b = f.board.src, f.board.tgt
+    a = f.board.src
     body = compose(
         ev_lift(a, k),
         LiftF(TensorOf(f, identity(Store(k)))),
@@ -452,7 +452,6 @@ def check_diagram(
         # zeta then new  =  (id x new) then tau then T(zeta)
         sig = (ty,)
         n_arena = Names(sig)
-        pb = p_arena(sig, b)
         zeta = compose(
             assoc_lt(a, n_arena, b),
             TensorOf(symm(a, n_arena), identity(b)),

@@ -285,7 +285,6 @@ def check_play(p: Play, mode: str = "plain") -> Verdict:
     ('plain' for NC2, 'innocent' for NC2')."""
     v: list[Violation] = []
     bd = p.board
-    ns = None
     open_q: list[int] = []  # pending-question stack for bracketing
     for i, e in enumerate(p.entries):
         # structure: move exists, justifier enables, first move initial

@@ -821,7 +821,7 @@ class LambdaInv(ZonedTransform):
     def __init__(self, g: Strategy, c: Arena):
         tgt = g.board.tgt
         assert isinstance(tgt, Imp), f"uncurrying needs an arrow target: {tgt}"
-        s, z = _imp_parts(c)
+        s, _ = _imp_parts(c)
         if s is None:
             b = tgt.src
         else:

@@ -1,9 +1,11 @@
 """Syntax of the calculus: types, terms, typing, parsing and printing.
 
 Terms use de Bruijn indices for variables (binding-safe) while names are
-concrete atoms; the nu binder stores its bound atom.  Surface conveniences
-(unannotated lambdas, the `stop` constant, `;` sequencing) elaborate into
-the core constructors via `infer`.
+concrete atoms; the nu binder stores its bound atom.  The typing rules are
+one walk, `_type_walk`.  Without a unifier it is `typecheck`, on core
+terms.  With one it is `infer`, which gives unannotated lambdas and `stop`
+type variables, and then elaborates the surface conveniences (unannotated
+lambdas, the `stop` constant, `;` sequencing) into core constructors.
 """
 from __future__ import annotations
 
@@ -313,7 +315,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Typing (the declarative rules, directly)
+# Typing: `typecheck` is the typing walk without a unifier
 # ---------------------------------------------------------------------------
 
 class TypecheckError(Exception):
@@ -325,93 +327,10 @@ class TypecheckError(Exception):
 
 def typecheck(names: NameList, env: list[Type], t: Term) -> Type:
     """Return the unique type of t under name context `names` and variable
-    context `env` (de Bruijn: env[-1] is index 0)."""
-    def want(sub: Term, expected: Type, what: str) -> None:
-        actual = go(sub)
-        if actual != expected:
-            raise TypecheckError(
-                f"{what}: expected {expected}, got {actual}", sub.pos
-            )
-
-    def go(t: Term) -> Type:
-        if isinstance(t, Num):
-            return NAT
-        if isinstance(t, Skip):
-            return UNIT
-        if isinstance(t, Var):
-            if not 0 <= t.index < len(env):
-                raise TypecheckError(f"unbound variable {t.hint}", t.pos)
-            return env[-1 - t.index]
-        if isinstance(t, Name):
-            if t.atom not in names:
-                raise TypecheckError(f"name {t.atom} not in scope", t.pos)
-            if not isinstance(t.atom.family, Type):
-                raise TypecheckError(f"name {t.atom} has no type family", t.pos)
-            return Ref(t.atom.family)
-        if isinstance(t, Lam):
-            if t.ty is None:
-                raise TypecheckError(f"unannotated lambda {t.hint}", t.pos)
-            env.append(t.ty)
-            try:
-                return Arrow(t.ty, go(t.body))
-            finally:
-                env.pop()
-        if isinstance(t, App):
-            fn_ty = go(t.fn)
-            if not isinstance(fn_ty, Arrow):
-                raise TypecheckError(f"applied a non-function of type {fn_ty}", t.pos)
-            want(t.arg, fn_ty.src, "argument")
-            return fn_ty.tgt
-        if isinstance(t, Pair):
-            return Prod(go(t.left), go(t.right))
-        if isinstance(t, Fst):
-            ty = go(t.body)
-            if not isinstance(ty, Prod):
-                raise TypecheckError(f"fst on non-product {ty}", t.pos)
-            return ty.left
-        if isinstance(t, Snd):
-            ty = go(t.body)
-            if not isinstance(ty, Prod):
-                raise TypecheckError(f"snd on non-product {ty}", t.pos)
-            return ty.right
-        if isinstance(t, (Pred, Succ)):
-            want(t.body, NAT, "numeric operand")
-            return NAT
-        if isinstance(t, If0):
-            want(t.scrutinee, NAT, "if0 scrutinee")
-            ty1 = go(t.then)
-            want(t.orelse, ty1, "if0 branches")
-            return ty1
-        if isinstance(t, EqTest):
-            lt = go(t.left)
-            if not isinstance(lt, Ref):
-                raise TypecheckError(f"equality test on non-reference {lt}", t.pos)
-            want(t.right, lt, "equality test")
-            return NAT
-        if isinstance(t, Nu):
-            if not isinstance(t.atom.family, Type):
-                raise TypecheckError("nu binder must bind a typed name", t.pos)
-            if t.atom in names:
-                fresh = fresh_atom(t.atom.family, set(names) | set(all_atoms(t)))
-                return go(Nu(fresh, _map_term(t.body, Permutation.swap(t.atom, fresh))))
-            inner = NameList(tuple(names) + (t.atom,))
-            return typecheck(inner, env, t.body)
-        if isinstance(t, Assign):
-            rt = go(t.ref)
-            if not isinstance(rt, Ref):
-                raise TypecheckError(f"assignment to non-reference {rt}", t.pos)
-            want(t.value, rt.inner, "assigned value")
-            return UNIT
-        if isinstance(t, Deref):
-            rt = go(t.ref)
-            if not isinstance(rt, Ref):
-                raise TypecheckError(f"dereference of non-reference {rt}", t.pos)
-            return rt.inner
-        if isinstance(t, Stop):
-            raise TypecheckError("stop must be elaborated before typechecking", t.pos)
-        raise TypecheckError(f"unknown term {t!r}", t.pos)
-
-    return go(t)
+    context `env` (de Bruijn: env[-1] is index 0).  This is `_type_walk`
+    without a unifier: every lambda must be annotated and `stop` is
+    refused."""
+    return _type_walk(t, names, env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +810,7 @@ def _uses_index(t: Term, index: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Type inference (monomorphic unification; fills unannotated lambdas, stop)
+# The typing walk, and `infer`: the walk with a unifier, then elaboration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, repr=False)
@@ -974,6 +893,102 @@ def _tvars(t: Type) -> set[_TVar]:
     return set()
 
 
+def _type_walk(
+    t: Term,
+    names: NameList,
+    env: list[Type],
+    u: Optional[_Unifier] = None,
+    expected: Optional[Type] = None,
+) -> tuple[Type, list[Type]]:
+    """The typing rule of each constructor, once.
+
+    Returns the type of t under the names `names` and the variable context
+    `env`, and the types given to its lambdas and stops in pre-order.  With
+    a unifier `u`, an unannotated lambda or a `stop` gets a type variable,
+    `expected` is unified with the result and leftover variables default
+    to 1.  Without one both are refused, so each variable the walk makes
+    is bound at once to a ground type.  A name out of scope or an untyped
+    nu binder is reported only when the rest of the term types, so a type
+    error keeps its position.
+    """
+    solver = u or _Unifier()
+    unify, fresh = solver.unify, solver.fresh
+    given: list[Type] = []
+    late: list[TypecheckError] = []
+
+    def give(ty: Optional[Type]) -> Type:
+        given.append(u.fresh() if ty is None else ty)
+        return given[-1]
+
+    def go(t: Term, env: list[Type], scope: frozenset[Atom]) -> Type:
+        if isinstance(t, Num):
+            return NAT
+        if isinstance(t, Skip):
+            return UNIT
+        if isinstance(t, Var):
+            if not 0 <= t.index < len(env):
+                raise TypecheckError(f"unbound variable {t.hint}", t.pos)
+            return env[-1 - t.index]
+        if isinstance(t, Name):
+            if t.atom not in scope:
+                late.append(TypecheckError(f"name {t.atom} not in scope", t.pos))
+            if not isinstance(t.atom.family, Type):
+                raise TypecheckError(f"name {t.atom} has no type family", t.pos)
+            return Ref(t.atom.family)
+        if isinstance(t, Lam):
+            if t.ty is None and u is None:
+                raise TypecheckError(f"unannotated lambda {t.hint}", t.pos)
+            ty = give(t.ty)
+            return Arrow(ty, go(t.body, env + [ty], scope))
+        if isinstance(t, Stop):
+            if u is None:
+                raise TypecheckError("stop must be elaborated before typechecking", t.pos)
+            return give(t.ty)
+        if isinstance(t, Nu):
+            if not isinstance(t.atom.family, Type):
+                late.append(TypecheckError("nu binder must bind a typed name", t.pos))
+            return go(t.body, env, scope | {t.atom})
+        if isinstance(t, If0):
+            unify(go(t.scrutinee, env, scope), NAT, t.pos)
+            ty = go(t.then, env, scope)
+            unify(ty, go(t.orelse, env, scope), t.pos)
+            return ty
+        tys = [go(c, env, scope) for c in _children(t)]
+        if isinstance(t, App):
+            out = fresh()
+            unify(tys[0], Arrow(tys[1], out), t.pos)
+            return out
+        if isinstance(t, Pair):
+            return Prod(*tys)
+        if isinstance(t, (Fst, Snd)):
+            l, r = fresh(), fresh()
+            unify(tys[0], Prod(l, r), t.pos)
+            return l if isinstance(t, Fst) else r
+        if isinstance(t, (Pred, Succ)):
+            unify(tys[0], NAT, t.pos)
+            return NAT
+        if isinstance(t, EqTest):
+            inner = fresh()
+            unify(tys[0], Ref(inner), t.pos)
+            unify(tys[1], Ref(inner), t.pos)
+            return NAT
+        if isinstance(t, Assign):
+            unify(tys[0], Ref(tys[1]), t.pos)
+            return UNIT
+        if isinstance(t, Deref):
+            inner = fresh()
+            unify(tys[0], Ref(inner), t.pos)
+            return inner
+        raise TypecheckError(f"cannot infer {t!r}", t.pos)
+
+    ty = go(t, list(env), frozenset(names))
+    if expected is not None:
+        unify(ty, expected)
+    if late:
+        raise late[0]
+    return solver.default(ty), given
+
+
 def infer(
     t: Term,
     names: NameList = NameList(),
@@ -982,101 +997,20 @@ def infer(
 ) -> tuple[Term, Type]:
     """Elaborate a surface term: fill lambda annotations, expand stop.
 
-    Unresolved type variables default to 1.  Returns the core term and its
-    type; the result typechecks under (names, env).
+    This is `_type_walk` with a unifier; unresolved type variables default
+    to 1.  Returns the core term and its type; the result typechecks under
+    (names, env).
     """
     u = _Unifier()
-    env = list(env or [])
+    ty, given = _type_walk(t, names, env or [], u, expected)
+    types = iter(given)
 
-    def go(t: Term, env: list[Type]) -> tuple[Term, Type]:
-        if isinstance(t, Num):
-            return t, NAT
-        if isinstance(t, Skip):
-            return t, UNIT
-        if isinstance(t, Var):
-            if not 0 <= t.index < len(env):
-                raise TypecheckError(f"unbound variable {t.hint}", t.pos)
-            return t, env[-1 - t.index]
-        if isinstance(t, Name):
-            fam = t.atom.family
-            if not isinstance(fam, Type):
-                raise TypecheckError(f"name {t.atom} has no type family", t.pos)
-            return t, Ref(fam)
+    def ground(t: Term) -> Term:
         if isinstance(t, Lam):
-            ty = t.ty if t.ty is not None else u.fresh()
-            body, bty = go(t.body, env + [ty])
-            return Lam(t.hint, ty, body, pos=t.pos), Arrow(ty, bty)
-        if isinstance(t, App):
-            fn, fty = go(t.fn, env)
-            arg, aty = go(t.arg, env)
-            out = u.fresh()
-            u.unify(fty, Arrow(aty, out), t.pos)
-            return App(fn, arg, pos=t.pos), out
-        if isinstance(t, Pair):
-            l, lt = go(t.left, env)
-            r, rt = go(t.right, env)
-            return Pair(l, r, pos=t.pos), Prod(lt, rt)
-        if isinstance(t, Fst):
-            b, bt = go(t.body, env)
-            l, r = u.fresh(), u.fresh()
-            u.unify(bt, Prod(l, r), t.pos)
-            return Fst(b, pos=t.pos), l
-        if isinstance(t, Snd):
-            b, bt = go(t.body, env)
-            l, r = u.fresh(), u.fresh()
-            u.unify(bt, Prod(l, r), t.pos)
-            return Snd(b, pos=t.pos), r
-        if isinstance(t, (Pred, Succ)):
-            b, bt = go(t.body, env)
-            u.unify(bt, NAT, t.pos)
-            return type(t)(b, pos=t.pos), NAT
-        if isinstance(t, If0):
-            s, sty = go(t.scrutinee, env)
-            u.unify(sty, NAT, t.pos)
-            th, tt = go(t.then, env)
-            el, et = go(t.orelse, env)
-            u.unify(tt, et, t.pos)
-            return If0(s, th, el, pos=t.pos), tt
-        if isinstance(t, EqTest):
-            l, lt = go(t.left, env)
-            r, rt = go(t.right, env)
-            inner = u.fresh()
-            u.unify(lt, Ref(inner), t.pos)
-            u.unify(rt, Ref(inner), t.pos)
-            return EqTest(l, r, pos=t.pos), NAT
-        if isinstance(t, Nu):
-            body, bty = go(t.body, env)
-            return Nu(t.atom, body, pos=t.pos), bty
-        if isinstance(t, Assign):
-            ref, rt = go(t.ref, env)
-            val, vt = go(t.value, env)
-            u.unify(rt, Ref(vt), t.pos)
-            return Assign(ref, val, pos=t.pos), UNIT
-        if isinstance(t, Deref):
-            ref, rt = go(t.ref, env)
-            inner = u.fresh()
-            u.unify(rt, Ref(inner), t.pos)
-            return Deref(ref, pos=t.pos), inner
+            ann = u.default(next(types))
+            return Lam(t.hint, ann, ground(t.body), pos=t.pos)
         if isinstance(t, Stop):
-            ty = t.ty if t.ty is not None else u.fresh()
-            return Stop(ty, pos=t.pos), ty
-        raise TypecheckError(f"cannot infer {t!r}", t.pos)
+            return stop_term(u.default(next(types)))
+        return _rebuild(t, [ground(c) for c in _children(t)])
 
-    core, ty = go(t, env)
-    if expected is not None:
-        u.unify(ty, expected)
-
-    def ground(t: Term, env: list[Type]) -> Term:
-        if isinstance(t, Lam):
-            ty = u.default(t.ty)
-            return Lam(t.hint, ty, ground(t.body, env + [ty]), pos=t.pos)
-        if isinstance(t, Stop):
-            return stop_term(u.default(t.ty if t.ty is not None else UNIT))
-        if isinstance(t, Nu):
-            return Nu(t.atom, ground(t.body, env), pos=t.pos)
-        return _rebuild(t, [ground(c, env) for c in _children(t)])
-
-    result = alpha_normal(ground(core, env))
-    final_ty = u.default(ty)
-    typecheck(names, list(env), result)
-    return result, final_ty
+    return alpha_normal(ground(t)), ty

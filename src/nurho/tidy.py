@@ -211,7 +211,7 @@ def check_tidy(sigma: Strategy, bound: int = 8, budget: Optional[Budget] = None)
                 for j in range(len(even.entries))
                 if classify_entry(board, even.entries[j]) == STORE_H
             ]
-            for (j1, p1), (j2, p2) in zip(handles, handles[1:]):
+            for (_, p1), (j2, p2) in zip(handles, handles[1:]):
                 if p1 == p2:
                     violations.append(
                         TidyViolation("GSD", even, j2, "store handles not alternating")
@@ -908,7 +908,7 @@ def _synthesize_value(sigma, ctx, init_pay, m0: Move) -> S.Term:
         val_pay = m0.pay[1]
         return _value_term(sigma, ctx, init_pay, m0, ctx.out_ty, val_pay, ("b", "l"), "body")
     # interrogating an argument: m0 is a source-side merged question
-    leaf, leafpath = _arrow_leaf_for(ctx, m0)
+    leaf, _ = _arrow_leaf_for(ctx, m0)
     arg_pay = m0.pay[1][1]
     assert isinstance(leaf.ty, Arrow)
     arg_term = _value_term(

@@ -16,6 +16,11 @@ No dead methods: every method of a class of the package must be read as an
 attribute (`x.name`) somewhere in `src/`, `tests/` or `bench/`, or be named
 by a string of the benchmark's tracer, which patches methods by name.
 Special methods (`__eq__`, ...) are called by the language and exempt.
+
+No dead locals: every name a function of the package stores must be read
+in that function or in a function nested in it.  `_` and names starting
+with `_` are exempt, and so are names the function declares `global` or
+`nonlocal`.
 """
 import ast
 import importlib.util
@@ -161,3 +166,48 @@ def test_every_traced_name_exists():
     spec.loader.exec_module(tracing)
     missing = [name for name, owner, attr, _ in tracing.TARGETS if attr not in vars(owner)]
     assert tracing.TARGETS and missing == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _DEFS + (ast.Lambda, ast.ClassDef)
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function under node, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}.{child.name}" if isinstance(child, _DEFS + (ast.ClassDef,)) else prefix
+        if isinstance(child, _DEFS):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body outside the functions and classes it defines."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals() -> list[str]:
+    unread = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for name, fn in _functions(tree, module.stem):
+            own = list(_own_nodes(fn))
+            declared = {n for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                        for n in node.names}
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            stored = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            unread += [f"{name} {v}" for v in sorted(stored - read - declared)
+                       if not v.startswith("_")]
+    return unread
+
+
+def test_every_local_is_read():
+    """A local that is stored and never read is dead code, or a bug."""
+    assert unread_locals() == []

@@ -23,6 +23,7 @@ from nurho.syntax import (
     Snd,
     Stop,
     Succ,
+    Term,
     TypecheckError,
     UNIT,
     Unit,
@@ -237,3 +238,115 @@ class TestEvalExamples:
         t, _ = infer(Stop(NAT))
         out = run(t, fuel=1000)
         assert out.kind == "cycle"
+
+
+# ---------------------------------------------------------------------------
+# Typing digest: typecheck's and infer's verdicts on generated terms, their
+# one-edit mutants and parsed sources, under empty and non-empty contexts.
+# ---------------------------------------------------------------------------
+
+OUT_OF_SCOPE = Atom(NAT, 9)
+
+DIGEST_SOURCES = [
+    "nu a:[N]. nu a:[N]. a := 1 ; !a",
+    "nu a:[N]. a := 1 ; nu a:[N]. !a",
+    "nu a:[N]. (nu a:[N]. a := 2) ; !a",
+    "nu a:[N]. a := 1 ; !a",
+    "nu a:[N]. nu b:[N]. [a = b]",
+    "nu a:[N->N]. a := (lambda x. succ x) ; (!a) 1",
+    "nu a:[1->1]. a := (lambda x:1. x) ; (!a) skip",
+    "N#0 := 2 ; !N#0",
+    "nu a:[N]. [a = N#0]",
+    "pred N#0",
+    "pred N#3",
+    "<N#3, pred skip>",
+    "nu a:[N]. a := skip",
+    "succ skip",
+    "(lambda x:N. x) skip",
+    "lambda f. f skip ; stop",
+    "lambda f:(1->1). f skip ; stop:1",
+    "if0 skip then 1 else 2",
+    "if0 0 then skip else 2",
+    "if0 N#3 then 1 else skip",
+    "fst 1",
+    "snd <1, skip>",
+    "[1 = 2]",
+    "[N#0 = [N]#1]",
+    "!skip",
+    "skip := 1",
+    "N#1 := skip",
+    "lambda x. x x",
+    "stop:N",
+    "(lambda x. x) stop",
+    "N#3",
+]
+
+
+def _typing_verdicts(t, names, env, expected=None):
+    """typecheck's type or exception class, and infer's elaborated term and
+    type or exception class and position.  Any exception typecheck lets
+    escape is recorded, so a change of class shows."""
+    try:
+        checked = repr(typecheck(names, list(env), t))
+    except Exception as e:
+        checked = type(e).__name__
+    try:
+        inferred = repr(infer(t, names, list(env), expected))
+    except TypecheckError as e:
+        inferred = f"{type(e).__name__} {e.pos}"
+    return f"{checked} | {inferred}"
+
+
+def _one_edit_mutants(t):
+    """t with one subterm replaced by skip, 0, a name out of scope or stop,
+    or with one lambda's annotation dropped."""
+    from dataclasses import fields, replace
+
+    yield from (Skip(), Num(0), Name(OUT_OF_SCOPE), Stop())
+    if isinstance(t, Lam) and t.ty is not None:
+        yield replace(t, ty=None)
+    for f in fields(t):
+        sub = getattr(t, f.name)
+        if f.name != "pos" and isinstance(sub, Term):
+            for m in _one_edit_mutants(sub):
+                yield replace(t, **{f.name: m})
+
+
+def test_typing_digest():
+    """typecheck's and infer's verdicts on generated terms, their one-edit
+    mutants and parsed sources, each under an empty and a non-empty
+    context: types, elaborated terms, and each error's class and, for
+    infer, position."""
+    import hashlib
+    import random
+
+    from nurho.cli import TermGen
+    from test_acceptance import gen_closed_term
+
+    names = NameList([Atom(NAT, 0), Atom(Arrow(UNIT, NAT), 0)])
+    groups = []
+    rng, closed = random.Random(23), []
+    while len(closed) < 150:
+        t = gen_closed_term(rng, rng.randint(2, 6))
+        if t not in closed:
+            closed.append(t)
+    groups.append((closed, [NAT]))
+    for b_ty in (UNIT, NAT, Arrow(UNIT, UNIT)):
+        gen = TermGen(5, b_ty)
+        groups.append(([gen.gen(2) for _ in range(30)], [NAT, Arrow(UNIT, b_ty)]))
+    lines = []
+    for terms, env in groups:
+        for t in terms:
+            for m in [t, *_one_edit_mutants(t)]:
+                lines.append(repr(m))
+                for ctx in ((NameList(), []), (names, env)):
+                    lines.append(_typing_verdicts(m, *ctx))
+    for src in DIGEST_SOURCES:
+        t = parse_term(src)
+        lines.append(src)
+        for ctx in ((NameList(), []), (names, [NAT])):
+            for expected in (None, NAT):
+                lines.append(_typing_verdicts(t, *ctx, expected))
+    assert len(lines) == 30713
+    got = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert got == "dba859372d87b5c2611d789bd5a641ee"

@@ -285,6 +285,7 @@ def cmd_equiv(args) -> int:
     unit_fix = TensorOf(
         identity(One()), unit_intro_left(sden(arrow, k))
     )
+    outcomes: dict = {}  # each distinct test is asked once; repeats count as draws
     for _ in range(args.tests):
         l_term = S.alpha_normal(gen.gen(2))
         try:
@@ -292,10 +293,12 @@ def cmd_equiv(args) -> int:
         except TypecheckError:
             continue
         tried += 1
-        rho = denote(l_term, NameList(), (arrow,), k)
-        run_m = compose(lm, unit_fix, rho)
-        run_n = compose(ln, unit_fix, rho)
-        om, on = observable(run_m), observable(run_n)
+        if l_term not in outcomes:
+            rho = denote(l_term, NameList(), (arrow,), k)
+            run_m = compose(lm, unit_fix, rho)
+            run_n = compose(ln, unit_fix, rho)
+            outcomes[l_term] = observable(run_m), observable(run_n)
+        om, on = outcomes[l_term]
         if om != on:
             separators.append((str(l_term), om, on))
     verdict = {

@@ -13,6 +13,7 @@ embedding plumbing between adjacent approximants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Optional
 
 from .arenas import (
@@ -86,11 +87,34 @@ def var_path(index: int) -> tuple:
 # Store monad operations (Fig.-5-style composites)
 # ---------------------------------------------------------------------------
 
+# Denotations by (names, gamma, term, k) and shared strategies by
+# (builder, *args).  Always read through the module global: clearing or
+# replacing it gives the next calls fresh strategies with empty memos.
+_DEN_CACHE: dict = {}
+
+
+def _shared(build):
+    """Build one strategy per argument tuple, so that equal morphisms are
+    one object with one memo.  The unshared builder is `__wrapped__`."""
+
+    @wraps(build, updated=())
+    def shared(*args):
+        key = (build, *args)
+        hit = _DEN_CACHE.get(key)
+        if hit is None:
+            hit = _DEN_CACHE[key] = build(*args)
+        return hit
+
+    return shared
+
+
+@_shared
 def ev_lift(a: Arena, k: int) -> Strategy:
     """ev : T a ⊗ store -> lift(a ⊗ store)."""
     return ev(Store(k), Lift(Tensor(a, Store(k))))
 
 
+@_shared
 def t_map(f: Strategy, k: int) -> Strategy:
     """The monad's functor action on f : a -> b."""
     a = f.board.src
@@ -101,10 +125,12 @@ def t_map(f: Strategy, k: int) -> Strategy:
     return LambdaC(body)
 
 
+@_shared
 def eta(a: Arena, k: int) -> Strategy:
     return LambdaC(Up(Tensor(a, Store(k))))
 
 
+@_shared
 def mu(a: Arena, k: int) -> Strategy:
     ta = t_arena(a, k)
     body = compose(
@@ -115,6 +141,7 @@ def mu(a: Arena, k: int) -> Strategy:
     return LambdaC(body)
 
 
+@_shared
 def tau(a: Arena, b: Arena, k: int) -> Strategy:
     xi = Store(k)
     body = compose(
@@ -126,31 +153,37 @@ def tau(a: Arena, b: Arena, k: int) -> Strategy:
     return LambdaC(body)
 
 
+@_shared
 def tau_prime(a: Arena, b: Arena, k: int) -> Strategy:
     return compose(symm(t_arena(a, k), b), tau(b, a, k), t_map(symm(b, a), k))
 
 
+@_shared
 def psi(a: Arena, b: Arena, k: int) -> Strategy:
     return compose(
         tau_prime(a, t_arena(b, k), k), t_map(tau(a, b, k), k), mu(Tensor(a, b), k)
     )
 
 
+@_shared
 def psi_prime(a: Arena, b: Arena, k: int) -> Strategy:
     return compose(
         tau(t_arena(a, k), b, k), t_map(tau_prime(a, b, k), k), mu(Tensor(a, b), k)
     )
 
 
+@_shared
 def st_prime(a: Arena, b: Arena) -> Strategy:
     return compose(symm(Lift(a), b), St(b, a), LiftF(symm(b, a)))
 
 
+@_shared
 def alpha(a: Arena, k: int) -> Strategy:
     """lift(a) -> T a, the monad morphism."""
     return LambdaC(st_prime(a, Store(k)))
 
 
+@_shared
 def ev_t(b_arena: Arena, c_value: Arena, k: int) -> Strategy:
     """T-evaluation: (b => T c) ⊗ b -> T c."""
     return ev(b_arena, t_arena(c_value, k))
@@ -171,10 +204,23 @@ def abs_strategy(f: Strategy, sig: tuple, family: Type, k: int) -> Strategy:
     )
 
 
-# the reference primitives, their values at the saturated arena sden(C, k)
-drf, upd = DrfStrategy, UpdStrategy
+# the leaves `_denote` lifts with t_map, shared so that t_map's key repeats;
+# the reference primitives are values at the saturated arena sden(C, k)
+drf, upd = _shared(DrfStrategy), _shared(UpdStrategy)
+cnd, projection = _shared(CndStrategy), _shared(PathProjection)
 
 
+@_shared
+def succ() -> Strategy:
+    return NatFn(lambda n: n + 1, "succ")
+
+
+@_shared
+def pred() -> Strategy:
+    return NatFn(lambda n: max(0, n - 1), "pred")
+
+
+@_shared
 def eq_strategy(fam: Type) -> Strategy:
     g = Names((fam,))
     return EqStrat(Tensor(g, g))
@@ -183,9 +229,6 @@ def eq_strategy(fam: Type) -> Strategy:
 # ---------------------------------------------------------------------------
 # The denotational translation
 # ---------------------------------------------------------------------------
-
-_DEN_CACHE: dict = {}
-
 
 def denote(
     term: S.Term,
@@ -263,14 +306,10 @@ def _denote(term, names, gamma, ty: Type, k: int) -> Strategy:
         pt = S.typecheck(names, list(gamma), term.body)
         assert isinstance(pt, Prod)
         side = ("l",) if isinstance(term, S.Fst) else ("r",)
-        proj = PathProjection(sden(pt, k), side)
+        proj = projection(sden(pt, k), side)
         return compose(denote(term.body, names, gamma, k), t_map(proj, k))
     if isinstance(term, (S.Succ, S.Pred)):
-        fn = (
-            NatFn(lambda n: n + 1, "succ")
-            if isinstance(term, S.Succ)
-            else NatFn(lambda n: max(0, n - 1), "pred")
-        )
+        fn = succ() if isinstance(term, S.Succ) else pred()
         return compose(denote(term.body, names, gamma, k), t_map(fn, k))
     if isinstance(term, S.If0):
         branch_ty = ty
@@ -286,7 +325,7 @@ def _denote(term, names, gamma, ty: Type, k: int) -> Strategy:
         return compose(
             legs,
             tau_prime(NatArena(), Tensor(ta, ta), k),
-            t_map(CndStrategy(val, k), k),
+            t_map(cnd(val, k), k),
             mu(val, k),
         )
     if isinstance(term, S.EqTest):

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from nurho.cli import main
+from nurho import model
+from nurho import syntax as S
+from nurho.arenas import One
+from nurho.cli import TermGen, _budget, _lam_hat, main
+from nurho.model import denote, observable, sden
+from nurho.nominal import NameList
+from nurho.strategies import TensorOf, compose, identity, strategy_leq, unit_intro_left
+from nurho.syntax import Arrow, TypecheckError, UNIT, infer, parse_term
 
 
 def run(capsys, *argv):
@@ -168,6 +175,53 @@ class TestEquivCmd:
         )
         # 0 and 1 are separated by the observation itself
         assert "table" in out or "distinguishing" in out
+
+    @pytest.mark.parametrize("seed, code", [(104, 0), (1, 1)])
+    def test_json_matches_asking_every_draw(self, capsys, monkeypatch, seed, code):
+        """Each distinct test is asked once; the payload is the one a loop
+        that asks every typed draw afresh gives, repeats included."""
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        got, out, _ = run(capsys, "equiv", "0", "1", "--json", "--tests", "40",
+                          "--seed", str(seed))
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        want, draws = reference_equiv("0", "1", 40, seed)
+        assert (got, json.loads(out)) == (code, want)
+        assert len(set(draws)) < len(draws) == want["tests"]
+        if code:
+            tests = [s["test"] for s in want["separators"]]
+            assert len(set(tests)) < len(tests)  # a repeated separator, listed twice
+
+
+def reference_equiv(left, right, tests, seed, k=2, depth=8):
+    """`nurho equiv --json`'s payload with every typed draw asked, and the draws."""
+    m, ty = infer(parse_term(left))
+    n, _ = infer(parse_term(right))
+    bud = _budget(ty)
+    dm, dn = denote(m, k=k), denote(n, k=k)
+    arrow = Arrow(UNIT, ty)
+    lm, ln = _lam_hat(dm, NameList(), arrow, k), _lam_hat(dn, NameList(), arrow, k)
+    unit_fix = TensorOf(identity(One()), unit_intro_left(sden(arrow, k)))
+    gen = TermGen(seed, ty)
+    draws, separators = [], []
+    for _ in range(tests):
+        t = S.alpha_normal(gen.gen(2))
+        try:
+            S.typecheck(NameList(), [arrow], t)
+        except TypecheckError:
+            continue
+        draws.append(t)
+        rho = denote(t, NameList(), (arrow,), k)
+        om = observable(compose(lm, unit_fix, rho))
+        on = observable(compose(ln, unit_fix, rho))
+        if om != on:
+            separators.append({"test": str(t), "left-observable": om, "right-observable": on})
+    return {
+        "table-leq": strategy_leq(dm, dn, depth, bud),
+        "table-geq": strategy_leq(dn, dm, depth, bud),
+        "tests": len(draws),
+        "separators": separators,
+        "caveat": f"bounded evidence only: depth {depth}, {len(draws)} sampled tests",
+    }, draws
 
 
 class TestRepl:

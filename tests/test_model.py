@@ -1,6 +1,7 @@
 import pytest
 
 from nurho.arenas import Budget, Move, Names, NatArena, One, STORE0, Tensor, t_arena
+from nurho import model
 from nurho.machine import Config, Store as TermStore, evaluate, step
 from nurho.model import (
     abs_strategy,
@@ -266,3 +267,74 @@ class TestSpotLemmas:
             else:
                 out = evaluate(Config.make(TermStore(), t), fuel=100)
                 assert out.kind != "value" or out.config.term != Num(0), src
+
+
+# test_10's corpus (tests/test_acceptance.py): every translation clause
+DEFINABILITY_SOURCES = [
+    "stop:1", "stop:N", "0", "1", "2", "skip", "<0, 1>", "<skip, 0>",
+    "<1, <0, skip>>", "succ 1", "pred 2", "if0 0 then 1 else 0",
+    "if0 1 then 0 else 2", "nu a:[N]. 0", "nu a:[N]. nu b:[N]. 1",
+    "nu a:[N]. a := 1 ; 0", "nu a:[N]. a := 0 ; !a", "nu a:[N]. a := 1 ; !a",
+    "nu a:[N]. a := 1 ; succ !a", "nu a:[1]. a := skip ; 0", "lambda x:1. x",
+    "lambda x:N. x", "lambda x:N. succ x", "lambda x:N. 3", "lambda x:N*N. fst x",
+    "lambda x:1. stop:1", "(lambda x:N. x) 1", "fst <2, 0>", "snd <skip, 1>",
+    "nu a:[N]. if0 !(nu b:[N]. b := 0 ; b) then 1 else 2",
+]
+
+# every builder the denotations share through `_DEN_CACHE`
+SHARED = (
+    "ev_lift", "t_map", "eta", "mu", "tau", "tau_prime", "psi", "psi_prime",
+    "st_prime", "alpha", "ev_t", "drf", "upd", "cnd", "projection", "succ", "pred",
+    "eq_strategy",
+)
+
+
+class TestSharedMorphisms:
+    def test_equal_arguments_give_one_strategy(self, monkeypatch):
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        a, b = sden(NAT, 1), One()
+        first = psi(a, b, 1)
+        assert psi(a, b, 1) is first
+        assert psi(b, a, 1) is not first and psi(a, b, 2) is not first
+
+    def test_cleared_table_gives_fresh_memos(self, monkeypatch):
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        a = sden(NAT, 1)
+        first = psi(a, a, 1)
+        assert observable(denote(parse_term("fst <pred 1, 2>"), k=1))  # uses psi(a, a, 1)
+        assert any(p._memo for p in first.parts)
+        model._DEN_CACHE.clear()
+        again = psi(a, a, 1)
+        assert again is not first and again._memo == {}
+        assert not any(p._memo for p in again.parts)
+
+    def test_patched_table_is_respected(self, monkeypatch):
+        table: dict = {}
+        monkeypatch.setattr(model, "_DEN_CACHE", table)
+        s = mu(One(), 1)
+        assert table[(model.mu.__wrapped__, One(), 1)] is s
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        assert mu(One(), 1) is not s
+
+    def test_sharing_changes_no_table(self, monkeypatch):
+        """One shared instance interleaves the kept state of every chain
+        that uses it; the tables equal those of unshared builders."""
+
+        def tables():
+            out = []
+            for src in DEFINABILITY_SOURCES:
+                term, _ = infer(parse_term(src))
+                vf = viewfunction(denote(term, k=2), 8, BUD)
+                out.append((vf.board, vf.table))
+            return out
+
+        monkeypatch.setattr(model, "_DEN_CACHE", {})
+        shared = tables()
+        assert len(model._DEN_CACHE) > len(DEFINABILITY_SOURCES)
+        with monkeypatch.context() as m:
+            for name in SHARED:
+                m.setattr(model, name, getattr(model, name).__wrapped__)
+            m.setattr(model, "_DEN_CACHE", {})
+            unshared = tables()
+            assert all(isinstance(key[0], tuple) for key in model._DEN_CACHE)
+        assert shared == unshared

@@ -141,7 +141,6 @@ def mu(a: Arena, k: int) -> Strategy:
     return LambdaC(body)
 
 
-@_shared
 def tau(a: Arena, b: Arena, k: int) -> Strategy:
     xi = Store(k)
     body = compose(

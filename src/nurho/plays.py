@@ -539,25 +539,34 @@ def compose_plays(s: Play, t: Play) -> tuple[Interaction, Play]:
     return u, hide(u, Board(s.board.src, t.board.tgt))
 
 
+def expose(u, n: int, lo: int, idx: int, at: dict[int, int]) -> Entry:
+    """Outer entry idx of an interaction u over arenas 0..n as the composite
+    play sees it.  `at` maps outer u indices to play indices.  A move whose
+    justifier is hidden (a target initial) re-anchors through hidden
+    justifiers, and a move played by a part carries the names the hidden
+    moves u[lo:idx] introduced before its own."""
+    e = u[idx]
+    just = e.justifier
+    while just is not None and 0 < u[just].iface < n:
+        just = u[just].justifier
+    delta = e.delta
+    if e.owner:
+        delta = tuple(a for x in u[lo:idx] for a in x.delta) + delta
+    jv = None if just is None else at[just]
+    return Entry(SRC if e.iface == 0 else TGT, e.move, jv, delta)
+
+
 def hide(u: Interaction, board: Board) -> Play:
-    """Project an interaction to its outer arenas, accumulating the deltas
-    of hidden moves into the next visible generalized P-move."""
-    n = len(u.arenas) - 1
+    """Project an interaction to its outer arenas, one `expose` per outer entry."""
+    n, es = len(u.arenas) - 1, u.entries
     visible: list[Entry] = []
-    u_to_visible: dict[int, int] = {}
-    pending: tuple[Atom, ...] = ()
-    for idx, e in enumerate(u.entries):
+    at: dict[int, int] = {}
+    lo = 0
+    for idx, e in enumerate(es):
         if 0 < e.iface < n:
-            pending += e.delta
             continue
-        just = e.justifier
-        while just is not None and 0 < u.entries[just].iface < n:
-            just = u.entries[just].justifier  # a target initial: re-anchor
-        vis_j = u_to_visible[just] if just is not None else None
-        delta = pending + e.delta if e.owner else e.delta
-        pending = ()
-        u_to_visible[idx] = len(visible)
-        visible.append(Entry(SRC if e.iface == 0 else TGT, e.move, vis_j, delta))
+        visible.append(expose(es, n, lo, idx, at))
+        at[idx], lo = len(visible) - 1, idx + 1
     return Play(board, tuple(visible))
 
 

@@ -24,6 +24,9 @@ Three kinds of strategies cover everything downstream:
   view kept for the shared prefix;
 * chains: composites that replay the view through an n-ary parallel
   interaction of their parts, kept and resumed from the prefix shared.
+  One walk step, `ChainStrategy._play`, plays an outer O-move and bounces
+  it to its exit, which `plays.expose`, the one hiding step, turns into
+  the composite's move; `random_interaction` walks with the same step.
 """
 from __future__ import annotations
 
@@ -65,8 +68,8 @@ from .nominal import (
     renaming,
     support,
 )
-from .plays import Board, Entry, IEntry, Interaction, Play, SRC, TGT, check_play, entry_id
-from .plays import hide, view_indices
+from .plays import Board, Entry, IEntry, Play, SRC, TGT, check_play, entry_id, expose
+from .plays import view_indices
 
 
 # A response is the entry that extends the view it answers, justified inside it.
@@ -957,7 +960,7 @@ class _Work:
     """A chain's working interaction: the ids of the view answered last, the
     interaction u played for it, view index <-> u index, each part's
     projection, a mark (len(u), prefix support, atoms of u) per even prefix,
-    and the answer's pending bounce."""
+    and the pending answer with the view index of the O-move it answers."""
 
     __slots__ = ("view", "u", "vmap", "inv", "projs", "marks", "pending")
 
@@ -1008,14 +1011,13 @@ class ChainStrategy(Strategy):
 
     def _bounce(
         self, u: list[IEntry], receiver: int, live: set[Atom], projs: list[Projection]
-    ) -> Optional[tuple[int, list[int]]]:
+    ) -> Optional[int]:
         """Let strategies react until the ball leaves to an outer interface.
         `live` holds every atom of u and grows with it; `projs` holds each
         part's projection of u.
 
-        Returns (index of the exit move in u, indices added) or None.
+        Returns the index in u of the exit move, the last one added, or None.
         """
-        added: list[int] = []
         budget = self.step_budget or max(64, 16 * len(self.parts) * (len(u) + 2))
         steps = 0
         n = len(self.parts)
@@ -1034,20 +1036,36 @@ class ChainStrategy(Strategy):
             r = _freshen(r, live)
             live.update(r._iter_atoms_())
             u.append(IEntry(iface, r.move, u_j, r.delta, receiver))
-            added.append(len(u) - 1)
             if iface == 0 or iface == n:
-                return len(u) - 1, added
+                return len(u) - 1
             receiver = iface if r.comp == SRC else iface + 1
+
+    def _play(self, w: _Work, e: Entry, live: set[Atom]) -> Optional[Entry]:
+        """Play the outer O-move e, justified by a play index, on w.u and
+        bounce.  The exit as the composite play sees it, both moves recorded
+        in w.vmap and w.inv; None on a refusal."""
+        u, n, o = w.u, len(self.parts), len(w.u)
+        iface = 0 if e.comp == SRC else n
+        just = None if e.justifier is None else w.vmap[e.justifier]
+        u.append(IEntry(iface, e.move, just, (), 0))
+        live.update(e.move.atoms)
+        x = self._bounce(u, 1 if iface == 0 else n, live, w.projs)
+        if x is None:
+            return None
+        for k in (o, x):
+            w.inv[k] = len(w.vmap)
+            w.vmap.append(k)
+        return expose(u, n, o + 1, x, w.inv)
 
     def respond_raw(self, view: Play) -> Optional[Response]:
         """Cut the working interaction back to the longest even prefix the
-        view shares with the one walked, settling the pending bounce when the
-        view extends its answer, and bounce only the view's entries after
-        that prefix.  u then is what a replay from scratch builds, so the
-        answer is the same.  A raise or a refusal drops the interaction."""
+        view shares with the one walked, settling the pending answer when the
+        view extends it, and play only the view's O-moves after that prefix.
+        u then is what a replay from scratch builds, so the answer is the
+        same.  A raise or a refusal drops the interaction."""
         w, self._work = self._work or _Work(self.parts), None
-        es, n = view.entries, len(self.parts)
-        u, vmap, inv, projs, marks = w.u, w.vmap, w.inv, w.projs, w.marks
+        es = view.entries
+        u, vmap, inv, marks = w.u, w.vmap, w.inv, w.marks
         ids, s = _resume(w.view, view)
         if w.pending and s == len(w.view) < len(es):
             s += 1
@@ -1059,64 +1077,44 @@ class ChainStrategy(Strategy):
         for ui in vmap[at:]:
             del inv[ui]
         del marks[at // 2 + 1:], u[nu:], vmap[at:]
-        for proj in projs:
+        for proj in w.projs:
             proj.truncate(nu)
         w.view, w.pending = ids, None
         taboo = frozenset(view.canon()[0])  # the atoms of the view
         live = set(taboo).union(uat)
         for i in range(at, len(es), 2):
-            e = es[i]
-            iface = 0 if e.comp == SRC else n
-            inv[len(u)] = i
-            vmap.append(len(u))
-            just = vmap[e.justifier] if e.justifier is not None else None
-            u.append(IEntry(iface, e.move, just, (), 0))
-            out = self._bounce(u, 1 if iface == 0 else n, live, projs)
-            if out is None:
+            r = self._play(w, es[i], live)
+            if r is None:
                 return None
             if i + 1 == len(es):
-                w.pending, self._work = (i, *out), w
-                deltas = sum((u[j].delta for j in out[1]), ())
-                return Response(*self._exit(w, out[0]), deltas)
-            live = set(taboo).union(self._settle(w, es, i, *out))
+                w.pending, self._work = (i, r), w
+                return r
+            live = set(taboo).union(self._settle(w, es, i, r))
         raise OracleError("even-length view fed to a strategy")
 
-    def _settle(self, w: _Work, es: tuple, i: int, exit_idx: int, added: list[int]):
-        """Check the bounce from view entry i against es[i + 1], with its new names
-        renamed to the view's; mark the prefix ending there.  The atoms of u."""
-        u, expected = w.u, es[i + 1]
-        deltas = sum((u[j].delta for j in added), ())  # the names the bounce introduced
-        if len(deltas) != len(expected.delta):
+    def _settle(self, w: _Work, es: tuple, i: int, r: Entry):
+        """Check the answer r to view entry i against es[i + 1], with the
+        names its bounce introduced renamed to the view's; mark the prefix
+        ending there.  The atoms of u."""
+        u, expected, lo = w.u, es[i + 1], w.vmap[i] + 1
+        if len(r.delta) != len(expected.delta):
             raise OracleError(f"{self.name}: delta arity mismatch replaying the view")
-        if deltas != expected.delta:
-            pi = _complete_to_permutation(dict(zip(deltas, expected.delta)))
-            for j in added:
+        if r.delta != expected.delta:
+            pi = _complete_to_permutation(dict(zip(r.delta, expected.delta)))
+            for j in range(lo, len(u)):
                 u[j] = u[j]._map_atoms_(pi)
             for proj in w.projs:
-                proj.truncate(added[0])
-        comp, move, jv = self._exit(w, exit_idx)
-        if (comp, move, jv) != (expected.comp, expected.move, expected.justifier):
+                proj.truncate(lo)
+            r = r._map_atoms_(pi)
+        if r != expected:
             raise OracleError(
-                f"{self.name}: view replay mismatch at {i + 1}: got {comp}:{move}@"
-                f"{jv}, expected {expected.comp}:{expected.move}@{expected.justifier}"
+                f"{self.name}: view replay mismatch at {i + 1}: got {r.comp}:{r.move}@"
+                f"{r.justifier}, expected {expected.comp}:{expected.move}@{expected.justifier}"
             )
-        w.inv[exit_idx] = i + 1
-        w.vmap.append(exit_idx)
         nu, sup, uat = w.marks[-1]
         uat = uat.union(a for x in u[nu:] for a in x._iter_atoms_())
         w.marks.append((len(u), sup.union(support(es[i:i + 2])), uat))
         return uat
-
-    def _exit(self, w: _Work, exit_idx: int) -> tuple[str, Move, int]:
-        """The exit move of a bounce as the view sees it: (comp, move, justifier)."""
-        x = w.u[exit_idx]
-        comp = SRC if x.iface == 0 else TGT
-        if x.iface == len(self.parts) and self.board.tgt.is_initial(x.move):
-            return comp, x.move, 0
-        jv = w.inv.get(x.justifier)
-        if jv is None:
-            raise OracleError(f"{self.name}: exit justifier hidden from the view")
-        return comp, x.move, jv
 
 
 def compose(*parts: Strategy) -> Strategy:
@@ -1390,34 +1388,23 @@ def legal_o_extensions_of_play(p: Play, budget: Budget):
 
 
 def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: Budget):
-    """Random legal environment against sigma;tau, returning the component
-    plays (s, t) it induces.  None when the walk dies immediately."""
+    """Random legal environment against sigma;tau, walked with the chain's
+    `_play`: the component plays (s, t) it induces and the composite play.
+    An O-move the chain refuses ends the walk and leaves no trace."""
     chain = ChainStrategy([sigma, tau])
-    n = 2
-    u: list[IEntry] = []
-    live: set[Atom] = set()
-    projs = [Projection(sigma.board, 1), Projection(tau.board, 2)]
+    w, live = _Work(chain.parts), set()
     composite = Play(chain.board)
     for _ in range(steps):
         opts = list(legal_o_extensions_of_play(composite, budget))
         if not opts:
             break
-        ext = rng.choice(opts)
-        u_j = None
-        if ext.justifier is not None:
-            # composite play indices map to u indices of outer entries
-            outer = [i for i, e in enumerate(u) if e.iface in (0, n)]
-            u_j = outer[ext.justifier]
-        u.append(IEntry(0 if ext.comp == SRC else n, ext.move, u_j, (), 0))
-        live.update(ext.move.atoms)
-        receiver = 1 if ext.comp == SRC else n
-        out = chain._bounce(u, receiver, live, projs)
-        if out is None:
-            u.pop()
-            for proj in projs:
-                proj.truncate(len(u))
+        ext, o = rng.choice(opts), len(w.u)
+        r = chain._play(w, ext, live)
+        if r is None:
+            del w.u[o:]
+            for proj in w.projs:
+                proj.truncate(o)
             break
-        arenas = (sigma.board.src, sigma.board.tgt, tau.board.tgt)
-        composite = hide(Interaction(arenas, tuple(u)), chain.board)
-    s_play, t_play = (Play(p.board, tuple(chain._project(u, p).entries)) for p in projs)
+        composite = composite.append(ext).append(r)
+    s_play, t_play = (Play(p.board, tuple(chain._project(w.u, p).entries)) for p in w.projs)
     return s_play, t_play, composite

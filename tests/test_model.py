@@ -283,7 +283,7 @@ DEFINABILITY_SOURCES = [
 
 # every builder the denotations share through `_DEN_CACHE`
 SHARED = (
-    "ev_lift", "t_map", "eta", "mu", "tau", "tau_prime", "psi", "psi_prime",
+    "ev_lift", "t_map", "eta", "mu", "tau_prime", "psi", "psi_prime",
     "st_prime", "alpha", "ev_t", "drf", "upd", "cnd", "projection", "succ", "pred",
     "eq_strategy",
 )

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 )
@@ -48,3 +50,29 @@ def test_summary_of_alternating_pairs():
 def test_seed_ranges():
     assert pairs.parse_seeds("401-403") == [401, 402, 403]
     assert pairs.parse_seeds("7,9") == [7, 9]
+
+
+def test_a_side_keeps_the_tree_it_came_from():
+    doc = {}
+    first = {"git_sha": "abc", "src_sha256": "0123"}
+    pairs.record_checkout(doc, "change", first)
+    pairs.record_checkout(doc, "change", {"git_sha": None, "src_sha256": "0123"})
+    pairs.record_checkout(doc, "parent", {"git_sha": None, "src_sha256": "4567"})
+    assert doc == {"change": first, "parent": {"git_sha": None, "src_sha256": "4567"}}
+    with pytest.raises(ValueError, match="src_sha256 89ab.*came from 0123"):
+        pairs.record_checkout(doc, "change", {"git_sha": "abc", "src_sha256": "89ab"})
+    assert doc["change"] == first
+
+
+def test_runs_from_another_tree_stop_with_status_1(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "bench.json"
+    out.write_text('{"runs": [], "parent": {"git_sha": null, "src_sha256": "0123"}}')
+    env = {"env": {"git_sha": None, "src_sha256": "89ab", "nproc_usable": 2,
+                   "python": "3"}}
+    monkeypatch.setattr(pairs, "run_once", lambda root, w, seed: (env, run(1, "", 1.0)["result"]))
+    argv = ["pairs.py", str(tmp_path), str(tmp_path), "--workload", "corpus",
+            "--seeds", "1", "--out", str(out)]
+    monkeypatch.setattr(pairs.sys, "argv", argv)
+    assert pairs.main() == 1
+    assert "came from 0123" in capsys.readouterr().err
+    assert '"89ab"' not in out.read_text()

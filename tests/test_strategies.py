@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -21,7 +22,8 @@ from nurho.arenas import (
 )
 from nurho.nominal import Atom, Permutation, apply_perm, atoms_of, canonical_perm, support
 from nurho.plays import (
-    Board, Entry, IEntry, Play, SRC, TGT, check_play, is_innocent_play, pview, view_indices,
+    Board, Entry, IEntry, Interaction, Play, SRC, TGT, check_play, compose_plays, hide,
+    is_innocent_play, pview, view_indices,
 )
 from nurho.strategies import (
     Bang,
@@ -48,6 +50,7 @@ from nurho.strategies import (
     Pu,
     SeparateHead,
     St,
+    TableStrategy,
     TensorOf,
     TotalRestrict,
     Up,
@@ -59,6 +62,7 @@ from nurho.strategies import (
     determinacy_fuzz,
     ev,
     identity,
+    random_interaction,
     strat_of_viewf,
     strategy_equal,
     strategy_leq,
@@ -822,6 +826,39 @@ def test_chain_drops_its_interaction_when_a_bounce_raises(monkeypatch):
             assert r == s.respond_raw(view)
             answered_after += raised > 0
     assert raised and answered_after, (raised, answered_after)
+
+
+def test_chain_answers_are_the_hidden_interaction(monkeypatch):
+    """After each answer of a zoo chain, the whole working interaction,
+    hidden as compose_plays hides it, is the view followed by the answer."""
+    raw, seen = ChainStrategy.respond_raw, {"answers": 0}
+
+    def checked_raw(self, view):
+        r = raw(self, view)
+        if r is not None:
+            arenas = (self.parts[0].board.src, *(p.board.tgt for p in self.parts))
+            u = Interaction(arenas, tuple(self._work.u))
+            assert hide(u, self.board).entries == view.entries + (r,)
+            seen["answers"] += 1
+        return r
+
+    monkeypatch.setattr(model, "_DEN_CACHE", {})
+    monkeypatch.setattr(ChainStrategy, "respond_raw", checked_raw)
+    for build in transformer_zoo().values():
+        viewfunction(build(), 8, GOLD)
+    assert seen["answers"] > 2000, seen
+
+
+def test_random_interaction_forgets_a_dead_bounce():
+    """A walk whose first O-move the chain refuses leaves no trace in the
+    component plays: they compose to the (empty) walk."""
+    nat = NatArena()
+    s, t, walk = random_interaction(
+        identity(nat), TableStrategy(Board(nat, nat), []), random.Random(0), 3,
+        Budget(max_nat=1),
+    )
+    assert len(s) == len(t) == len(walk) == 0
+    assert compose_plays(s, t)[1].entries == walk.entries
 
 
 def test_nominal_values_are_slotted():

@@ -10,7 +10,9 @@ runs `python3 bench/run.py --workload W --seed N --seconds 30 --trace 0` in
 each checkout, one after the other: odd-numbered pairs run the parent
 first, even-numbered ones the change first.  When the output file exists,
 its runs are kept and the new pairs are numbered after them, so one file
-can collect several workloads, one call each.  After every pair the file is
+can collect several workloads, one call each; a checkout whose source tree
+differs from the one the file records for its side stops the run with
+exit status 1.  After every pair the file is
 rewritten: the runs in the order they ran, and per workload the median and
 quartiles of each end-to-end metric on each side, the ratio of the medians
 (change / parent) and the number of pairs the change won (ties count for
@@ -98,6 +100,16 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def record_checkout(doc: dict, side: str, env: dict) -> None:
+    """Record in doc the tree a run on `side` came from (its env line's
+    git_sha and src_sha256).  ValueError when doc names another tree."""
+    got = {k: env[k] for k in ("git_sha", "src_sha256")}
+    had = doc.setdefault(side, got)["src_sha256"]
+    if had != got["src_sha256"]:
+        raise ValueError(f"the {side} checkout has src_sha256 {got['src_sha256']}, "
+                         f"but the file's {side} runs came from {had}")
+
+
 def parse_seeds(text: str) -> list[int]:
     """'401-405' or '401,403,410'."""
     if "-" in text:
@@ -126,9 +138,13 @@ def main() -> int:
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             env, result = run_once(roots[side], args.workload, seed)
+            try:
+                record_checkout(doc, side, env["env"])
+            except ValueError as e:
+                print(f"{args.out}: {e}", file=sys.stderr)
+                return 1
             runs.append({"pair": pair, "side": side, "workload": args.workload,
                          "seed": seed, "result": result, "env": env})
-            doc.setdefault(side, {k: env["env"][k] for k in ("git_sha", "src_sha256")})
             e = env["env"]
             doc["host"] = f"{e['nproc_usable']} vCPUs, Python {e['python']}, one run at a time"
             print(f"pair {pair} {side} {args.workload} seed {seed}: wall_s "

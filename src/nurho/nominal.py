@@ -10,16 +10,22 @@ supported (lists, not sets, of names everywhere).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """A typed atomic name.  Equality is (family, index) equality."""
+    """A typed atomic name.  Equality is (family, index) equality, hashed once."""
 
     family: Hashable
     index: int
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.family, self.index)))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.family}#{self.index}"

@@ -282,7 +282,9 @@ class Verdict:
 
 def check_play(p: Play, mode: str = "plain") -> Verdict:
     """All play conditions; `mode` picks the name-change flavour
-    ('plain' for NC2, 'innocent' for NC2')."""
+    ('plain' for NC2, 'innocent' for NC2'), or 'unbracketed' for NC2 and
+    every condition but bracketing, which is what the paper asks of a play
+    with general references."""
     v: list[Violation] = []
     bd = p.board
     open_q: list[int] = []  # pending-question stack for bracketing
@@ -318,7 +320,7 @@ def check_play(p: Play, mode: str = "plain") -> Verdict:
         if bd.label(e.comp, e.move)[0] != expected:
             v.append(Violation("alternation", i, f"expected an {expected}-move"))
         # bracketing
-        if i > 0 and p.qa(i) == "A":
+        if i > 0 and mode != "unbracketed" and p.qa(i) == "A":
             if not open_q or open_q[-1] != e.justifier:
                 v.append(Violation("bracketing", i, "answer not to pending question"))
         if p.qa(i) == "Q":
@@ -463,9 +465,15 @@ def _matched_prefixes(s: Play, t: Play) -> list[tuple[int, int]]:
 
 
 def composable(s: Play, t: Play) -> Verdict:
-    """Almost-composability plus the name conditions C1/C2."""
+    """Both are plays (`check_play` in mode 'unbracketed'), then
+    almost-composability plus the name conditions C1/C2."""
     if s.board.tgt != t.board.src:
         return Verdict((Violation("board", 0, "shared arena differs"),))
+    for side, p in (("left", s), ("right", t)):
+        bad = check_play(p, mode="unbracketed").violations
+        if bad:
+            return Verdict(tuple(Violation(x.condition, x.index, f"{side} play: {x.detail}")
+                                 for x in bad))
     try:
         pairs = _matched_prefixes(s, t)
     except NotComposable as e:

@@ -26,7 +26,8 @@ Three kinds of strategies cover everything downstream:
   interaction of their parts, kept and resumed from the prefix shared.
   One walk step, `ChainStrategy._play`, plays an outer O-move and bounces
   it to its exit, which `plays.expose`, the one hiding step, turns into
-  the composite's move; `random_interaction` walks with the same step.
+  the composite's move.  It asks every part but an `Answer` on the P-view
+  of its projection, for a P-move; `random_interaction` walks with it too.
 """
 from __future__ import annotations
 
@@ -240,15 +241,17 @@ class Answer(MachineStrategy):
 
     def __init__(self, board: Board, name: str, pay, zones=()):
         super().__init__(board, name)
-        self.pay = pay
-        self.zones = tuple(Zone(TGT, tgtp, 0, SRC, srcp) for srcp, tgtp in zones)
+        self.pay, self.pairs = pay, tuple(zones)
+
+    def initial(self, pay, i: int):
+        """The answer to an initial move at index i with payload `pay`, and its zones."""
+        p = self.pay(pay)
+        if self.board.tgt.initial_schema().contains(p):
+            return Response(TGT, Move((), p), i), [Zone(TGT, t, i, SRC, s) for s, t in self.pairs]
+        return None
 
     def prelude(self, view, i):
-        if i == 0:
-            p = self.pay(view.entries[0].move.pay)
-            if self.board.tgt.initial_schema().contains(p):
-                return Response(TGT, Move((), p), 0), self.zones
-        return None
+        return self.initial(view.entries[0].move.pay, 0) if i == 0 else None
 
 
 def Copycat(board: Board, name: str = "id") -> Strategy:
@@ -931,13 +934,13 @@ class Projection:
         j = None if e.justifier is None else bisect.bisect_left(idx, e.justifier)
         return view.append(Entry(e.comp, e.move, j, e.delta)), idx + (k,)
 
-    def add(self, origin: int, e: Entry) -> None:
-        """Project entry `origin` of the interaction as e; its P-view is the
-        one before it plus e for a P-move, else the one at its justifier."""
+    def add(self, origin: int, e: Entry, is_p: bool) -> None:
+        """Project entry `origin` of the interaction as e, a P-move if `is_p`;
+        its P-view is the one before plus e for a P-move, else the justifier's."""
         m = len(self.entries)
         self.entries.append(e)
         self.origins.append(origin)
-        self.is_p.append(self.board.label(e.comp, e.move)[0] == "P")
+        self.is_p.append(is_p)
         j = e.justifier
         if self.is_p[m]:
             base = self.views[m - 1] if m else self.empty
@@ -959,15 +962,35 @@ class Projection:
 class _Work:
     """A chain's working interaction: the ids of the view answered last, the
     interaction u played for it, view index <-> u index, each part's
-    projection, a mark (len(u), prefix support, atoms of u) per even prefix,
-    and the pending answer with the view index of the O-move it answers."""
+    projection, the zones each `Answer` part's answer opened, a mark (len(u),
+    prefix support, atoms of u) per even prefix, and the pending answer with
+    the view index of the O-move it answers."""
 
-    __slots__ = ("view", "u", "vmap", "inv", "projs", "marks", "pending")
+    __slots__ = ("view", "u", "vmap", "inv", "projs", "zones", "marks", "pending")
 
     def __init__(self, parts: list[Strategy]):
-        self.view, self.u, self.vmap, self.inv, self.pending = (), [], [], {}, None
-        self.projs = [Projection(p.board, k) for k, p in enumerate(parts, 1)]
+        self.view, self.u, self.vmap, self.inv, self.zones = (), [], [], {}, {}
+        self.projs, self.pending = [Projection(p.board, k) for k, p in enumerate(parts, 1)], None
         self.marks = [(0, frozenset(), frozenset())]
+
+    def cut(self, n: int) -> None:
+        """Forget the entries of u from index n on."""
+        del self.u[n:]
+        for proj in self.projs:
+            proj.truncate(n)
+        while self.zones and next(reversed(self.zones)) >= n:  # keys grow with u
+            self.zones.popitem()
+
+
+def _seen_by(u: list[IEntry], i: int, e: IEntry, board: Board) -> tuple:
+    """Entry e of u as part i sees it: its component, and its justifier in u,
+    None for an initial move (only the initial-move cascade crosses)."""
+    comp, j = SRC if e.iface == i - 1 else TGT, e.justifier
+    if j is not None and u[j].iface not in (i - 1, i):
+        if not (comp == SRC and board.src.is_initial(e.move)):
+            raise OracleError("projection crosses the interface")
+        j = None
+    return comp, j
 
 
 class ChainStrategy(Strategy):
@@ -995,26 +1018,29 @@ class ChainStrategy(Strategy):
             e = u[idx]
             if e.iface not in (i - 1, i):
                 continue
-            comp = SRC if e.iface == i - 1 else TGT
-            j = e.justifier
-            if j is not None:
-                if u[j].iface not in (i - 1, i):
-                    # only the initial-move cascade crosses interfaces
-                    if not (comp == SRC and proj.board.src.is_initial(e.move)):
-                        raise OracleError("projection crosses the interface")
-                    j = None
-                else:
-                    j = bisect.bisect_left(proj.origins, j)
-            proj.add(idx, Entry(comp, e.move, j, e.delta if e.owner == i else ()))
+            comp, j = _seen_by(u, i, e, proj.board)
+            j = None if j is None else bisect.bisect_left(proj.origins, j)
+            proj.add(idx, Entry(comp, e.move, j, e.delta if e.owner == i else ()), e.owner == i)
         proj.scanned = len(u)
         return proj
 
+    @staticmethod
+    def _copy(u: list[IEntry], i: int, part: Answer, opened: dict) -> Optional[tuple]:
+        """Part i's answer to the last entry of u, justified in u, and the
+        zones it opens: the part's `initial` answer, or a `mirror` copy."""
+        x, at = u[-1], len(u) - 1
+        comp, j = _seen_by(u, i, x, part.board)
+        if j is None:
+            return part.initial(x.move.pay, at)
+        zones = opened.get(j, ()) if u[j].owner == i else ()
+        return mirror(part.board, Entry(comp, x.move, j), at, zones)
+
     def _bounce(
-        self, u: list[IEntry], receiver: int, live: set[Atom], projs: list[Projection]
+        self, u: list[IEntry], receiver: int, live: set[Atom], w: _Work
     ) -> Optional[int]:
         """Let strategies react until the ball leaves to an outer interface.
-        `live` holds every atom of u and grows with it; `projs` holds each
-        part's projection of u.
+        `live` holds every atom of u and grows with it; w holds u.  Every
+        part but an `Answer` is asked on its P-view, for a P-move.
 
         Returns the index in u of the exit move, the last one added, or None.
         """
@@ -1025,16 +1051,25 @@ class ChainStrategy(Strategy):
             steps += 1
             if steps > budget:
                 raise CompositionBudget(f"{self.name}: no exit within {budget} steps")
-            proj = self._project(u, projs[receiver - 1])
-            view, view_idx = proj.views[-1]
-            r = self.parts[receiver - 1].respond(view)
-            if r is None:
-                return None
-            # map the view justifier back to u
-            u_j = proj.origins[view_idx[r.justifier]]
+            part = self.parts[receiver - 1]
+            if isinstance(part, Answer):
+                out = self._copy(u, receiver, part, w.zones)
+                if out is None:
+                    return None
+                r, w.zones[len(u)] = out
+                u_j = r.justifier
+            else:
+                proj = self._project(u, w.projs[receiver - 1])
+                view, view_idx = proj.views[-1]
+                r = part.respond(view)
+                if r is None:
+                    return None
+                if part.board.label(r.comp, r.move)[0] != "P":
+                    raise OracleError(f"{part.name}: answer {r.comp}:{r.move} is an O-move")
+                u_j = proj.origins[view_idx[r.justifier]]  # the justifier in u
+                r = _freshen(r, live)
+                live.update(r._iter_atoms_())
             iface = (receiver - 1) if r.comp == SRC else receiver
-            r = _freshen(r, live)
-            live.update(r._iter_atoms_())
             u.append(IEntry(iface, r.move, u_j, r.delta, receiver))
             if iface == 0 or iface == n:
                 return len(u) - 1
@@ -1045,11 +1080,13 @@ class ChainStrategy(Strategy):
         bounce.  The exit as the composite play sees it, both moves recorded
         in w.vmap and w.inv; None on a refusal."""
         u, n, o = w.u, len(self.parts), len(w.u)
+        if self.board.label(e.comp, e.move)[0] != "O":
+            raise OracleError(f"{self.name}: outer move {e.comp}:{e.move} is a P-move")
         iface = 0 if e.comp == SRC else n
         just = None if e.justifier is None else w.vmap[e.justifier]
         u.append(IEntry(iface, e.move, just, (), 0))
         live.update(e.move.atoms)
-        x = self._bounce(u, 1 if iface == 0 else n, live, w.projs)
+        x = self._bounce(u, 1 if iface == 0 else n, live, w)
         if x is None:
             return None
         for k in (o, x):
@@ -1065,7 +1102,7 @@ class ChainStrategy(Strategy):
         same.  A raise or a refusal drops the interaction."""
         w, self._work = self._work or _Work(self.parts), None
         es = view.entries
-        u, vmap, inv, marks = w.u, w.vmap, w.inv, w.marks
+        vmap, inv, marks = w.vmap, w.inv, w.marks
         ids, s = _resume(w.view, view)
         if w.pending and s == len(w.view) < len(es):
             s += 1
@@ -1076,9 +1113,8 @@ class ChainStrategy(Strategy):
             at, (nu, sup, uat) = 0, marks[0]  # the suffix meets a hidden atom
         for ui in vmap[at:]:
             del inv[ui]
-        del marks[at // 2 + 1:], u[nu:], vmap[at:]
-        for proj in w.projs:
-            proj.truncate(nu)
+        del marks[at // 2 + 1:], vmap[at:]
+        w.cut(nu)
         w.view, w.pending = ids, None
         taboo = frozenset(view.canon()[0])  # the atoms of the view
         live = set(taboo).union(uat)
@@ -1401,9 +1437,7 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
         ext, o = rng.choice(opts), len(w.u)
         r = chain._play(w, ext, live)
         if r is None:
-            del w.u[o:]
-            for proj in w.projs:
-                proj.truncate(o)
+            w.cut(o)
             break
         composite = composite.append(ext).append(r)
     s_play, t_play = (Play(p.board, tuple(chain._project(w.u, p).entries)) for p in w.projs)

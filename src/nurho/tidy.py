@@ -771,6 +771,11 @@ def _find_update(sigma, ctx, init_pay, m0: Move):
     return None
 
 
+# t_map unshared: the shared one keys on its argument strategy's identity,
+# and the arguments below are built afresh for every case
+_t_map = t_map.__wrapped__
+
+
 def _recombine_read(sigma, inner, ctx, atom, c_ty, init_pay):
     src = ctx.board_src()
     phi = _phi_read(ctx, atom, c_ty, init_pay)
@@ -778,7 +783,7 @@ def _recombine_read(sigma, inner, ctx, atom, c_ty, init_pay):
     composite = compose(
         Pairing(identity(src), phi),
         tau(src, sden(c_ty, ctx.k), ctx.k),
-        t_map(
+        _t_map(
             compose(
                 assoc_rt(sig_names, gden(ctx.gamma, ctx.k), sden(c_ty, ctx.k)),
                 inner,
@@ -830,12 +835,12 @@ def _recombine_write(val_strat, rest, ctx, atom, c_ty, init_pay):
     composite = compose(
         Pairing(Diagonal(src), val_strat),
         tau(Tensor(src, src), cval, k),
-        t_map(assoc_rt(src, src, cval), k),
-        t_map(TensorOf(identity(src), phi), k),
-        t_map(tau(src, One(), k), k),
+        _t_map(assoc_rt(src, src, cval), k),
+        _t_map(TensorOf(identity(src), phi), k),
+        _t_map(tau(src, One(), k), k),
         mu(Tensor(src, One()), k),
-        t_map(unit_elim_right(src), k),
-        t_map(rest, k),
+        _t_map(unit_elim_right(src), k),
+        _t_map(rest, k),
         mu(sden(ctx.out_ty, k), k),
     )
     return TotalRestrict(composite, init_pay)

@@ -152,6 +152,34 @@ class TestMalformedPlay:
             assert code == 2 and "cannot load plays" in err
 
 
+def test_compose_refuses_an_illegal_play(tmp_path, capsys):
+    """A left play over 1 -> 1 whose source move points at a target move is
+    composable by the zipper alone; it is no play, so composition refuses
+    it and `nurho compose` exits 1 with the verdict."""
+    from nurho.arenas import Move, STAR
+    from nurho.plays import (
+        Board, Entry, NotComposable, Play, check_play, compose_plays, play_to_json_full,
+    )
+
+    bd = Board(One(), One())
+    rows = [Entry("s", Move((), STAR), None), Entry("t", Move((), STAR), 0)]
+    left, right = Play(bd, (*rows, Entry("s", Move((), STAR), 1))), Play(bd, tuple(rows))
+    assert str(check_play(left, mode="unbracketed")) == "justification@2: cross-component pointer"
+    assert check_play(right, mode="unbracketed").ok
+    with pytest.raises(NotComposable, match="left play: cross-component pointer"):
+        compose_plays(left, right)
+    files = []
+    for name, p in (("left", left), ("right", right)):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(play_to_json_full(p)))
+    code, out, _ = run(capsys, "compose", *map(str, files))
+    assert code == 1 and "left play: cross-component pointer" in out
+    code, out, _ = run(capsys, "--json", "compose", *map(str, files))
+    assert code == 1 and json.loads(out)["composable"] is False
+    code, _, _ = run(capsys, "compose", str(files[1]), str(files[1]))
+    assert code == 0
+
+
 class TestSynthCmd:
     def test_roundtrip(self, capsys):
         code, out, _ = run(capsys, "--table-depth", "6", "synth", "2")

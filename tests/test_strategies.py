@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
 from nurho.arenas import (
+    ForeignMove,
     MERGE,
     PAIR,
     STORE0,
@@ -26,6 +28,7 @@ from nurho.plays import (
     is_innocent_play, pview, view_indices,
 )
 from nurho.strategies import (
+    Answer,
     Bang,
     Binom,
     ChainStrategy,
@@ -44,18 +47,21 @@ from nurho.strategies import (
     NatFn,
     NewName,
     Numeral,
+    OracleError,
     Pairing,
     PathProjection,
     Projection,
     Pu,
     SeparateHead,
     St,
+    Strategy,
     TableStrategy,
     TensorOf,
     TotalRestrict,
     Up,
     UpdStrategy,
     ZonedTransform,
+    assoc_lt,
     assoc_rt,
     classify,
     compose,
@@ -68,6 +74,7 @@ from nurho.strategies import (
     strategy_leq,
     symm,
     unit_elim_left,
+    unit_elim_right,
     unit_intro_left,
     viewfunction,
 )
@@ -884,3 +891,160 @@ def test_nominal_values_are_slotted():
     e = Entry(SRC, m, None, (aN,))
     for x in (aN, m, e, IEntry(0, m, None, (), 0)):
         assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+# ---------------------------------------------------------------------------
+# Answer parts answered from the interaction; guarded entries
+# ---------------------------------------------------------------------------
+
+class Forward(Strategy):
+    """Asks `inner` on every view, so a chain asks it through its projection."""
+
+    def __init__(self, inner: Strategy):
+        super().__init__(inner.board, f"fwd({inner.name})")
+        self.inner = inner
+
+    def respond_raw(self, view):
+        return self.inner.respond(view)
+
+
+LN = Lift(NatArena())
+ANSWERS = {
+    "copycat": lambda: Copycat(Board(LN, LN)),
+    "path": lambda: PathProjection(Tensor(One(), LN), ("r",)),
+    "names": lambda: NameListProj((1,), Names((NAT, NAT))),
+    "names-drop": lambda: NameListProj((), Names((NAT, NAT))),
+    "bang": lambda: Bang(LN),
+    "numeral": lambda: Numeral(2),
+    "natfn": lambda: NatFn(lambda n: n + 1),
+    "eq": lambda: EqStrat(Tensor(GN, GN)),
+    "diagonal": lambda: Diagonal(LN),
+    "symm": lambda: symm(One(), LN),
+    "assoc-rt": lambda: assoc_rt(One(), LN, One()),
+    "assoc-lt": lambda: assoc_lt(One(), One(), LN),
+    "unit-intro-left": lambda: unit_intro_left(LN),
+    "unit-elim-left": lambda: unit_elim_left(LN),
+    "unit-elim-right": lambda: unit_elim_right(LN),
+    "refuses-0": lambda: NatFn(lambda n: n - 1, "pred-or-refuse"),
+}
+# permutations of the flat sources, asked as tables through their projections
+FLAT_BEFORE = {
+    NatArena(): lambda: NatFn(lambda n: 2 - n if n <= 2 else n),
+    Names((NAT, NAT)): lambda: NameListProj((1, 0), Names((NAT, NAT))),
+    Tensor(GN, GN): lambda: symm(GN, GN),
+}
+
+
+def _neighbours(a: Answer) -> tuple[Strategy, Strategy]:
+    """A strategy before a, which the chain asks through its projection: Pu
+    on a pointed source, else a table of a permutation; and Up after it."""
+    src = a.board.src
+    if src.is_pointed():
+        before = Pu(src)
+    else:
+        before = strat_of_viewf(viewfunction(FLAT_BEFORE[src](), 8, GOLD))
+    return before, Up(a.board.tgt)
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_answer_parts_answer_as_when_asked(name):
+    """An Answer part answers from the interaction as it answers when a chain
+    asks it through its projection: the depth-8 tables of the chains with
+    it at either end and in the middle are those of the chains with it
+    hidden behind a forwarding strategy."""
+    a = ANSWERS[name]()
+    before, after = _neighbours(a)
+    sizes = []
+    for shape in ((a, after), (before, a), (before, a, after)):
+        hidden = [Forward(p) if p is a else p for p in shape]
+        direct = viewfunction(ChainStrategy(list(shape)), 8, GOLD)
+        asked = viewfunction(ChainStrategy(hidden), 8, GOLD)
+        assert direct.table == asked.table, (name, len(shape))
+        sizes.append(len(direct))
+    assert min(sizes) > 0, sizes
+
+
+def test_chains_answer_for_their_answer_parts(monkeypatch):
+    """No Answer part of a chain is asked through `respond` by the chain: the
+    chains of the transformer zoo and of the Answer builders answer for
+    every Answer part from the interaction."""
+    bounce, copy, respond = ChainStrategy._bounce, ChainStrategy._copy, Strategy.respond
+    seen = {"asked": 0, "copied": 0}
+
+    def counted_respond(self, view):
+        seen["asked"] += isinstance(self, Answer) and sys._getframe(1).f_code is bounce.__code__
+        return respond(self, view)
+
+    def counted_copy(*args):
+        seen["copied"] += 1
+        return copy(*args)
+
+    monkeypatch.setattr(model, "_DEN_CACHE", {})
+    monkeypatch.setattr(Strategy, "respond", counted_respond)
+    monkeypatch.setattr(ChainStrategy, "_copy", staticmethod(counted_copy))
+    for build in transformer_zoo().values():
+        viewfunction(build(), 8, GOLD)
+    for build in ANSWERS.values():
+        a = build()
+        viewfunction(ChainStrategy([*_neighbours(a)[:1], a, Up(a.board.tgt)]), 8, GOLD)
+    assert seen["asked"] == 0 and seen["copied"] > 1000, seen
+
+
+def test_chain_refuses_where_its_answer_part_refuses():
+    """A payload outside the Answer's target schema gets no answer, at the
+    chain's start and in its middle; the next payload does."""
+    nat = NatArena()
+    a = ANSWERS["refuses-0"]()
+    chains = [
+        ChainStrategy([a, Up(nat)]),
+        ChainStrategy([strat_of_viewf(viewfunction(FLAT_BEFORE[nat](), 4, GOLD)), a, Up(nat)]),
+    ]
+    for chain, refused in zip(chains, (0, 2)):
+        for n in range(3):
+            r = run_view(chain, (SRC, Move((), n), None))
+            assert (r is None) == (n == refused), (chain.name, n)
+
+
+class Fixed(Strategy):
+    """Answers every view with one entry."""
+
+    def __init__(self, board: Board, r: Entry):
+        super().__init__(board, "fixed")
+        self.r = r
+
+    def respond_raw(self, view):
+        return self.r
+
+
+def test_chain_refuses_foreign_answers_and_o_moves():
+    """A part's answer enters the interaction labelled on its board: a
+    foreign move raises ForeignMove, and an O-move raises OracleError; an
+    outer P-move raises OracleError too."""
+    nat = NatArena()
+    foreign = Fixed(Board(nat, nat), Entry(TGT, Move(("zz",), 0), 0))
+    o_move = Fixed(Board(nat, nat), Entry(SRC, Move((), 3), 0))
+    for bad, err in ((foreign, ForeignMove), (o_move, OracleError)):
+        for parts in ([bad, identity(nat)], [identity(nat), bad], [bad, Up(nat)]):
+            with pytest.raises(err):
+                run_view(ChainStrategy(parts), (SRC, Move((), 1), None))
+    chain = ChainStrategy([identity(nat), Forward(identity(nat))])
+    answer = (TGT, Move((), 1), 0)
+    assert run_view(chain, (SRC, Move((), 1), None)) == Entry(*answer)
+    with pytest.raises(OracleError, match="is a P-move"):
+        run_view(chain, (SRC, Move((), 1), None), answer, answer)
+
+
+def test_atoms_hash_once_and_compare_on_family_and_index():
+    """Atoms built separately over compound families are equal, hash equal
+    and collapse in a set, whether or not one was hashed before; the hash
+    slot shows in neither repr nor equality, and is filled on first use."""
+    from nurho.syntax import Prod, Ref
+
+    for fam in (Ref(NAT), Arrow(NAT, Arrow(UNIT, NAT)), Prod(Ref(UNIT), NAT)):
+        a, b = Atom(fam, 3), Atom(fam, 3)
+        assert a._hash is None
+        h = hash(a)
+        assert a._hash == h == hash((fam, 3)) and b._hash is None
+        assert a == b and repr(a) == repr(b) == f"{fam}#3"
+        assert hash(b) == h and {a, b} == {a} and len({a, b}) == 1
+        assert a != Atom(fam, 4) and Atom(fam, 4) not in {a}

@@ -168,7 +168,7 @@ def cmd_check(args) -> int:
         )
         return 0 if ok else 1
     if args.what == "tidy":
-        rep = check_tidy(sigma, bound=args.bound, budget=bud)
+        rep = check_tidy(sigma, bound=args.table_depth, budget=bud)
         _emit(
             args,
             {"ok": rep.ok, "violations": [str(v) for v in rep.violations]},
@@ -416,7 +416,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("what", choices=["play", "strategy", "tidy", "diagram"])
     p.add_argument("target", help="play file, term, or diagram name")
     p.add_argument("--mode", choices=["plain", "innocent"], default="plain")
-    p.add_argument("--bound", type=int, default=8)
     p.add_argument("--type", default="N")
     p.add_argument("--type2", default="1")
     p.set_defaults(fn=cmd_check)

@@ -5,8 +5,7 @@ justifier inside the view, and the list of freshly introduced names.
 Responses are memoized on the keys of orbit-canonical views, which both
 enforces determinacy up to renaming and keeps fresh-name choices
 reproducible.  Every kind keeps what it computed for the view it answered
-last and redoes the work after the prefix a new view shares with it; only
-a transformer's `prefix` still reads the whole view on every call.
+last and redoes the work after the prefix a new view shares with it.
 
 Three kinds of strategies cover everything downstream:
 
@@ -633,39 +632,46 @@ class ZonedTransform(Strategy):
     Views shorter than `start` go to `head`.  For the others `prefix`
     returns the inner strategy, the inner entries replacing the outer
     entries [0, start), and the table renaming every later entry; the
-    inner response comes back through the same table.  `prefix` runs on
-    every call; the inner view of each prefix of the view answered last is
-    kept with its value, and while that stays equal a view grows the inner
-    view of the prefix it shares by its later entries.  A raise drops them."""
+    inner response comes back through the same table.  `prefix` runs once
+    for each head (first `start` entries) of the views answered; the inner
+    view of each prefix of the view answered last is kept, and a view with
+    the same head grows the inner view of the prefix it shares by its later
+    entries.  A raise drops them."""
 
     start = 1
-    _kept: Optional[tuple] = None  # (prefix's value, view ids, inner views)
+    _kept: Optional[tuple] = None  # (view ids, (inner, table, shift) or None, inner views)
 
     def head(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
 
     def prefix(self, view: Play):
-        """(inner strategy, inner prefix entries, ZoneTable), or None."""
+        """(inner strategy, inner prefix entries, ZoneTable), or None.  It
+        reads only the view's first `start` entries."""
         raise NotImplementedError
 
     def respond_raw(self, view: Play) -> Optional[Response]:
         if len(view) < self.start:
             return self.head(view)
-        out = self.prefix(view)
-        if out is None:
-            return None
-        inner, entries, table = out
         kept, self._kept = self._kept, None
-        if kept is None or kept[0] != out:
-            kept = (out, (), [Play(inner.board, entries)])
-        ids, s = _resume(kept[1], view)
-        views = kept[2]  # views[i]: the inner view of the first start + i entries
+        ids, s = _resume(kept[0] if kept else (), view)
+        if s < self.start:
+            out = self.prefix(view)
+            if out is None:
+                kept = (ids, None, [])
+            else:
+                inner, entries, table = out
+                shift = len(entries) - self.start
+                kept = (ids, (inner, table, shift), [Play(inner.board, entries)])
+        _, through, views = kept  # views[i]: the inner view of the first start + i entries
+        if through is None:
+            self._kept = (ids, None, views)
+            return None
+        inner, table, shift = through
         del views[max(s - self.start, 0) + 1:]
-        shift = len(entries) - self.start
         for e in view.entries[self.start + len(views) - 1:]:
             views.append(views[-1].append(table.fwd(e, shift)))
         r = inner.respond(views[-1])
-        self._kept = (out, ids, views)
+        self._kept = (ids, through, views)
         return None if r is None else table.bwd(r, shift)
 
 
@@ -673,7 +679,7 @@ class Pairing(ZonedTransform):
     """<f, g> : c -> a ⊗ b.  After the paired initial answer, the view's
     3rd move fixes the thread: side 'l' runs in f, 'r' in g."""
 
-    start = 2
+    start = 3
     TABLES = {
         side: ZoneTable(TZone(SRC, (), SRC, ()), TZone(TGT, (side,), TGT, ()))
         for side in "lr"
@@ -708,7 +714,8 @@ class Pairing(ZonedTransform):
         inner = self.f if side == "l" else self.g
         init = self.inits(view)[side == "r"]
         r = inner.respond(Play(inner.board, init))
-        return inner, init + (Entry(TGT, r.move, 0, r.delta),), self.TABLES[side]
+        table = self.TABLES[side]
+        return inner, init + (Entry(TGT, r.move, 0, r.delta), table.fwd(view.entries[2], 0)), table
 
 
 class TensorOf(Pairing):
@@ -871,10 +878,8 @@ class SeparateHead(ZonedTransform):
     """f~ : a ⊗ a -> b with the first source interrogation in the right copy
     and all later ones in the left, so that Δ;f~ = f."""
 
-    # Both copies fold onto f's one source.  Backwards, a view that has
-    # already touched the source answers into the left copy.
-    FIRST = ZoneTable(TZone(SRC, ("r",), SRC, ()), TZone(TGT, (), TGT, ()))
-    LATER = ZoneTable(
+    # Both copies fold onto f's one source; backwards, the left copy wins.
+    TABLE = ZoneTable(
         TZone(SRC, ("l",), SRC, ()), TZone(SRC, ("r",), SRC, ()), TZone(TGT, (), TGT, ())
     )
 
@@ -885,24 +890,30 @@ class SeparateHead(ZonedTransform):
         self.f = f
 
     def prefix(self, view):
-        src_done = any(e.comp == SRC for e in view.entries[1:])
         init = Entry(SRC, Move((), view.entries[0].move.pay[2]), None, ())
-        return self.f, (init,), self.LATER if src_done else self.FIRST
+        return self.f, (init,), self.TABLE
+
+    def respond_raw(self, view):
+        """A source answer goes to the right copy until the view has
+        touched the source."""
+        r = super().respond_raw(view)
+        if r is None or r.comp != SRC or any(e.comp == SRC for e in view.entries[1:]):
+            return r
+        return Response(SRC, r.move.at(("r",) + r.move.addr[1:]), r.justifier, r.delta)
 
 
 class TotalRestrict(Strategy):
-    """Restrict to one initial orbit; other initials get the bare point."""
+    """Restrict to one initial orbit, or with `outside` to every other one;
+    the initials left out get the bare point."""
 
-    def __init__(self, inner: Strategy, init_pay):
-        super().__init__(inner.board, f"{inner.name}|init")
+    def __init__(self, inner: Strategy, init_pay, outside: bool = False):
+        super().__init__(inner.board, f"{inner.name}|{'rest' if outside else 'init'}")
         self.inner = inner
         self.init_key = orbit_canon(init_pay)[0]
-
-    def _matches(self, pay) -> bool:
-        return orbit_canon(pay)[0] == self.init_key
+        self.outside = outside
 
     def respond_raw(self, view):
-        if self._matches(view.entries[0].move.pay):
+        if (orbit_canon(view.entries[0].move.pay)[0] == self.init_key) != self.outside:
             return self.inner.respond(view)
         if len(view) == 1 and self.board.tgt.is_pointed():
             return Response(TGT, Move((), self.board.tgt.point()), 0)

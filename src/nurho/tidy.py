@@ -394,22 +394,6 @@ def OrbitTest(src: Arena, init_pay) -> Strategy:
     )
 
 
-class ComplementRestrict(Strategy):
-    """sigma away from one initial orbit; the orbit itself gets the point."""
-
-    def __init__(self, inner: Strategy, init_pay):
-        super().__init__(inner.board, f"{inner.name}|rest")
-        self.inner = inner
-        self.key = orbit_canon(init_pay)[0]
-
-    def respond_raw(self, view):
-        if orbit_canon(view.entries[0].move.pay)[0] == self.key:
-            if len(view) == 1 and self.board.tgt.is_pointed():
-                return Response(TGT, Move((), self.board.tgt.point()), 0)
-            return None
-        return self.inner.respond(view)
-
-
 class CaseTransform(ZonedTransform):
     """A decomposition case on the zone-table engine: sigma behind the
     inner prefix `build(view)` (None: no response), renamed by `zones`.
@@ -438,39 +422,39 @@ def _opened(init_pay, *extra: Entry) -> tuple[Entry, ...]:
     )
 
 
-def strip_names_strategy(
-    sigma: Strategy, names: NameList, fresh: tuple[Atom, ...], gamma, k: int
-) -> Strategy:
-    """Case 2: the fresh names of the head response become ambient."""
-    big = NameList(tuple(names) + tuple(fresh))
-    board = Board(p_arena(tuple(a.family for a in big), gden(gamma, k)), sigma.board.tgt)
+class StripNames(ZonedTransform):
+    """Case 2: the fresh names of the head response become ambient.  They
+    follow the first `n` names in the initial payload, and sigma's view
+    gets them back as the delta of its 4th entry."""
 
-    class Stripped(Strategy):
-        def respond_raw(self, view):
-            pay = view.entries[0].move.pay
-            amb = pay[1]
-            outer_names, gval = amb[: len(names)], pay[2]
-            fresh_atoms = amb[len(names):]
-            names_pay = tuple(outer_names) if names else STAR
-            inner0 = Entry(SRC, Move((), (PAIR, names_pay, gval)), None, ())
-            entries = [inner0]
-            for idx in range(1, len(view.entries)):
-                e = view.entries[idx]
-                if idx == 3:
-                    e = Entry(e.comp, e.move, e.justifier, tuple(fresh_atoms) + e.delta)
-                entries.append(e)
-            iview = Play(sigma.board, tuple(entries))
-            if len(view) == 3:
-                r = sigma.respond(iview)
-                if r is None:
-                    return None
-                pi = _complete_to_permutation(dict(zip(r.delta, fresh_atoms)))
-                moved = r._map_atoms_(pi)
-                return Response(moved.comp, moved.move, moved.justifier, ())
-            r = sigma.respond(iview)
+    start = 4
+    TABLE = ZoneTable(TZone(SRC, (), SRC, ()), TZone(TGT, (), TGT, ()))
+
+    def __init__(self, sigma: Strategy, names: NameList, fresh: tuple[Atom, ...], gamma, k: int):
+        src = p_arena(tuple(a.family for a in (*names, *fresh)), gden(gamma, k))
+        super().__init__(Board(src, sigma.board.tgt), f"{sigma.name}∖names")
+        self.sigma, self.n = sigma, len(names)
+
+    def _init(self, view) -> tuple[Entry, tuple[Atom, ...]]:
+        """sigma's initial entry, and the fresh names the view carries."""
+        pay = view.entries[0].move.pay
+        amb = pay[1]
+        names_pay = tuple(amb[: self.n]) if self.n else STAR
+        return Entry(SRC, Move((), (PAIR, names_pay, pay[2])), None, ()), tuple(amb[self.n:])
+
+    def head(self, view):
+        init, fresh = self._init(view)
+        r = self.sigma.respond(Play(self.sigma.board, (init,) + view.entries[1:]))
+        if r is None or len(view) == 1:
             return r
+        moved = r._map_atoms_(_complete_to_permutation(dict(zip(r.delta, fresh))))
+        return Response(moved.comp, moved.move, moved.justifier, ())
 
-    return Stripped(board, name=f"{sigma.name}∖names")
+    def prefix(self, view):
+        init, fresh = self._init(view)
+        e = view.entries[3]
+        opened = Entry(e.comp, e.move, e.justifier, fresh + e.delta)
+        return self.sigma, (init, *view.entries[1:3], opened), self.TABLE
 
 
 def deref_case_strategy(sigma, names, gamma, c_ty: Type, k: int) -> Strategy:
@@ -689,7 +673,7 @@ def decompose(
     init_pay, x0 = heads[key]
     if not selected and not _single_orbit_context(ctx):
         sigma0 = TotalRestrict(sigma, init_pay)
-        sigma_rest = ComplementRestrict(sigma, init_pay)
+        sigma_rest = TotalRestrict(sigma, init_pay, outside=True)
         case = DecompositionCase(
             "split", init_pay, {"test": OrbitTest(sigma.board.src, init_pay),
                                 "selected": sigma0, "rest": sigma_rest}
@@ -702,9 +686,7 @@ def decompose(
         )
         return case
     if x0.delta:
-        stripped = strip_names_strategy(
-            sigma, ctx.names, x0.delta, ctx.gamma, ctx.k
-        )
+        stripped = StripNames(sigma, ctx.names, x0.delta, ctx.gamma, ctx.k)
         case = DecompositionCase(
             "fresh", init_pay, {"names": x0.delta, "inner": stripped}
         )

@@ -73,7 +73,7 @@ class TestCheckCmd:
     def test_tidy(self, capsys):
         code, out, _ = run(
             capsys, "--table-depth", "6", "check", "tidy",
-            "nu a:[N]. a := 1 ; !a", "--bound", "6",
+            "nu a:[N]. a := 1 ; !a",
         )
         assert code == 0 and "tidy" in out
 

@@ -520,6 +520,7 @@ def transformer_zoo() -> dict:
         "write-rest": lambda: _case("N#0 := 2 ; 0", "write")["rest"],
         "value-body": lambda: _value_case("lambda x:1. x", (), False),
         "value-call": lambda: _value_case("lambda f:N->N. f 1", (Arrow(NAT, NAT),), True),
+        "strip-names": lambda: _case("nu b:[N]. b := 1 ; !b", "fresh")["inner"],
         "den-nu-assign-deref": lambda: _den("nu a:[N]. a := 1 ; !a", k=1),
         "den-lam-succ": lambda: _den("lambda x:N. succ x"),
         "den-lam-call": lambda: _den("lambda f:(1->1). f skip ; stop:1"),
@@ -557,6 +558,7 @@ GOLDEN = {
     "write-rest": ("d003c1d8a4fc85cd", 12),
     "value-body": ("9ab363dc1d7f68b8", 8),
     "value-call": ("c7af30dabb034719", 24),
+    "strip-names": ("ad1ff520196cebc0", 13),
     "den-nu-assign-deref": ("475822acfca2190c", 9),
     "den-lam-succ": ("3bf3d9e674dee08d", 17),
     "den-lam-call": ("e42e0884373238df", 11),
@@ -602,7 +604,7 @@ def test_zone_tables_round_trip(name):
         shift = len(entries) - s.start
         for e in v.entries[s.start:]:
             want = e
-            if table is SeparateHead.LATER and e.comp == SRC:
+            if table is SeparateHead.TABLE and e.comp == SRC:
                 # both source copies fold onto f's one source
                 want = Entry(SRC, Move(("l",) + e.move.addr[1:], e.move.pay),
                              e.justifier, e.delta)
@@ -627,13 +629,17 @@ def test_zone_tables_cover_threads_and_store_variants():
         for s in _zoned(zoo[name]())
     }
     assert stores == {(c, w) for c in ("LambdaC", "LambdaInv") for w in (False, True)}
-    seps = {
-        s.prefix(Play(s.board, v.entries[:-1]))[2] is SeparateHead.LATER
-        for s in [zoo["sep-id-liftN"]()]
-        for v in viewfunction(s, 6, GOLD).plays.values()
-        if len(v) > 1
-    }
-    assert seps == {False, True}
+    # SeparateHead answers in the source's right copy until the view has
+    # touched the source, and in the left copy after that
+    copies = set()
+    seps = [zoo["sep-id-liftN"](), SeparateHead(identity(Lift(Lift(NatArena()))))]
+    for v in (v for s in seps for v in viewfunction(s, 8, GOLD).plays.values()):
+        r = v.entries[-1]
+        if len(v) > 1 and r.comp == SRC:
+            touched = any(e.comp == SRC for e in v.entries[1:-1])
+            assert r.move.addr[0] == ("l" if touched else "r"), v.pretty()
+            copies.add(r.move.addr[0])
+    assert copies == {"l", "r"}
 
 
 def _scratch_projection(u, proj):
@@ -773,6 +779,43 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
     for calls, hits in seen.values():
         assert calls > 500 and 2 * hits >= calls, seen
     assert resumed == _zoo_tables(monkeypatch, fresh=True)
+
+
+def test_transformers_run_prefix_once_per_head(monkeypatch):
+    """A transformer runs `prefix` only on a view whose first `start` entries
+    differ from those of the last view past its head it answered; across the
+    zoo most such views reuse the prefix of the view before."""
+    raw, last, seen = ZonedTransform.respond_raw, {}, {"views": 0, "prefix": 0}
+
+    def counted_raw(self, view):
+        try:
+            r = raw(self, view)
+        except Exception:
+            last.pop(self, None)  # a raise drops what the transformer kept
+            raise
+        if len(view) >= self.start:
+            seen["views"] += 1
+            last[self] = view
+        return r
+
+    def checked(prefix):
+        def run(self, view):
+            seen["prefix"] += 1
+            before = last.get(self)
+            assert before is None or before.entries[: self.start] != view.entries[: self.start]
+            return prefix(self, view)
+        return run
+
+    kinds = [ZonedTransform]
+    for cls in kinds:
+        kinds.extend(cls.__subclasses__())
+        if "prefix" in vars(cls):
+            monkeypatch.setattr(cls, "prefix", checked(vars(cls)["prefix"]))
+    monkeypatch.setattr(ZonedTransform, "respond_raw", counted_raw)
+    monkeypatch.setattr(model, "_DEN_CACHE", {})
+    for build in transformer_zoo().values():
+        viewfunction(build(), 8, GOLD)
+    assert seen["views"] > 1000 and 4 * seen["prefix"] < seen["views"], seen
 
 
 def test_raw_views_resume_on_their_own_entries_only():

@@ -25,8 +25,9 @@ Three kinds of strategies cover everything downstream:
   interaction of their parts, kept and resumed from the prefix shared.
   One walk step, `ChainStrategy._play`, plays an outer O-move and bounces
   it to its exit, which `plays.expose`, the one hiding step, turns into
-  the composite's move.  It asks every part but an `Answer` on the P-view
-  of its projection, for a P-move; `random_interaction` walks with it too.
+  the composite's move.  It answers for every machine part from the
+  interaction itself, and asks every other part on the P-view of its
+  projection, for a P-move; `random_interaction` walks with it too.
 """
 from __future__ import annotations
 
@@ -119,6 +120,8 @@ def _resume(kept: tuple, view: Play) -> tuple[tuple[int, ...], int]:
 class Strategy:
     """Base class: deterministic innocent oracle over a fixed board."""
 
+    horizon: Optional[int] = None  # a machine's last prelude index; None: chains ask it
+
     def __init__(self, board: Board, name: str = "?"):
         self.board = board
         self.name = name
@@ -177,7 +180,8 @@ class MachineStrategy(Strategy):
 
     `prelude(view, i)` inspects the O-move at index i and returns a
     (Response, zones) pair, or None to fall through to the zone machinery.
-    Zones returned are anchored at the response's index.
+    Zones returned are anchored at the response's index.  A chain answers
+    for a machine with a `horizon` from the interaction (`ChainStrategy._answer`).
     """
 
     start = 1  # the index of the first response decided
@@ -238,19 +242,19 @@ class Answer(MachineStrategy):
     between each (source prefix, target prefix) pair of `zones`.  A payload
     outside the target's initial schema gets no answer."""
 
+    horizon = 0
+
     def __init__(self, board: Board, name: str, pay, zones=()):
         super().__init__(board, name)
         self.pay, self.pairs = pay, tuple(zones)
 
-    def initial(self, pay, i: int):
-        """The answer to an initial move at index i with payload `pay`, and its zones."""
-        p = self.pay(pay)
-        if self.board.tgt.initial_schema().contains(p):
-            return Response(TGT, Move((), p), i), [Zone(TGT, t, i, SRC, s) for s, t in self.pairs]
-        return None
-
     def prelude(self, view, i):
-        return self.initial(view.entries[0].move.pay, 0) if i == 0 else None
+        if i:
+            return None
+        p = self.pay(view.entries[0].move.pay)
+        if self.board.tgt.initial_schema().contains(p):
+            return Response(TGT, Move((), p), 0), [Zone(TGT, t, 0, SRC, s) for s, t in self.pairs]
+        return None
 
 
 def Copycat(board: Board, name: str = "id") -> Strategy:
@@ -364,6 +368,8 @@ def unit_elim_right(a: Arena) -> Strategy:
 # -- lifting monad pieces ----------------------------------------------------
 
 class Up(MachineStrategy):
+    horizon = 2
+
     def __init__(self, a: Arena):
         super().__init__(Board(a, Lift(a)), "up")
 
@@ -378,6 +384,8 @@ class Up(MachineStrategy):
 
 
 class Dn(MachineStrategy):
+    horizon = 4
+
     def __init__(self, a: Arena):
         super().__init__(Board(Lift(Lift(a)), Lift(a)), "dn")
 
@@ -394,6 +402,8 @@ class Dn(MachineStrategy):
 
 class St(MachineStrategy):
     """Strength of lifting: a ⊗ lift(b) -> lift(a ⊗ b)."""
+
+    horizon = 4
 
     def __init__(self, a: Arena, b: Arena):
         super().__init__(Board(Tensor(a, Lift(b)), Lift(Tensor(a, b))), "st")
@@ -417,6 +427,8 @@ class St(MachineStrategy):
 class Pu(MachineStrategy):
     """lift(a) -> a for pointed a."""
 
+    horizon = 4
+
     def __init__(self, a: Arena):
         assert a.is_pointed(), f"pu needs a pointed arena, got {a}"
         super().__init__(Board(Lift(a), a), "pu")
@@ -437,6 +449,8 @@ class Pu(MachineStrategy):
 
 class NewName(MachineStrategy):
     """new: (names ⊗ a) -> lift(names+1 ⊗ a), introducing the new atom."""
+
+    horizon = 2
 
     def __init__(self, sig: tuple, family, a: Arena):
         src = mk_tensor(Names(sig) if sig else One(), a)
@@ -465,6 +479,8 @@ class NewName(MachineStrategy):
 class Binom(MachineStrategy):
     """Generalized fresh-name constructor names(sig) -> lift(names(sig'))
     where sig extends to sig' via `positions` (old index or None=fresh)."""
+
+    horizon = 2
 
     def __init__(self, src_sig: tuple, positions: tuple[Optional[int], ...], families: tuple):
         src = Names(src_sig) if src_sig else One()
@@ -498,6 +514,8 @@ class Binom(MachineStrategy):
 
 class DrfStrategy(MachineStrategy):
     """Dereference: ask the name at the store, return and thread the value."""
+
+    horizon = 4
 
     def __init__(self, c_type, k: int):
         self.c_type = c_type
@@ -556,6 +574,8 @@ class UpdStrategy(MachineStrategy):
 
 class CndStrategy(MachineStrategy):
     """Zero-test dispatch: n ⊗ (T a)² -> T a, total copycat of the branch."""
+
+    horizon = 0
 
     def __init__(self, value: Arena, k: int):
         ta = t_arena(value, k)
@@ -869,9 +889,32 @@ class LambdaInv(ZonedTransform):
         ), self.TABLES[self.with_store]
 
 
-def ev(b: Arena, c: Arena) -> Strategy:
-    """Evaluation (b ⊸⊗ c) ⊗ b -> c, for a lifted or arrow-shaped c."""
-    return LambdaInv(identity(mk_merge(b, c)), c)
+class Ev(MachineStrategy):
+    """Evaluation (b ⊸⊗ c) ⊗ b -> c, for a lifted or arrow-shaped c: Λ⁻¹ of
+    the identity as a machine.  It answers the target's point, then asks the
+    function with b's payload (and the store's, for an arrow c) and copies
+    through the zones of `_curry_zones` read backwards."""
+
+    horizon = 2
+    ZONES = {ws: [Zone(SRC, ("l",) + z.o_prefix, 0 if z.i_comp == SRC else 2, z.i_comp,
+                       z.i_prefix) for z in _curry_zones(ws)[1:]] for ws in (False, True)}
+
+    def __init__(self, b: Arena, c: Arena):
+        super().__init__(Board(Tensor(mk_merge(b, c), b), c), "ev")
+        self.with_store = _imp_parts(c)[0] is not None
+
+    def prelude(self, view, i):
+        if i == 0:
+            return Response(TGT, Move((), STAR if self.with_store else STAR1), 0), []
+        if i == 2:
+            pb = view.entries[0].move.pay[2]
+            if self.with_store:
+                pb = (PAIR, pb, view.entries[2].move.pay[1])
+            return Response(SRC, Move(("l", "j"), (MERGE, pb)), 0), self.ZONES[self.with_store]
+        return None
+
+
+ev = Ev
 
 
 class SeparateHead(ZonedTransform):
@@ -972,25 +1015,26 @@ class Projection:
 
 class _Work:
     """A chain's working interaction: the ids of the view answered last, the
-    interaction u played for it, view index <-> u index, each part's
-    projection, the zones each `Answer` part's answer opened, a mark (len(u),
-    prefix support, atoms of u) per even prefix, and the pending answer with
-    the view index of the O-move it answers."""
+    interaction u played for it, view index <-> u index, the projection of
+    each part asked so far, by part, for each move a machine part played the
+    u indices of its P-view (None past the part's horizon) and the zones it
+    opened, a mark (len(u), prefix support, atoms of u) per even prefix, and
+    the pending answer with the view index of the O-move it answers."""
 
-    __slots__ = ("view", "u", "vmap", "inv", "projs", "zones", "marks", "pending")
+    __slots__ = ("view", "u", "vmap", "inv", "projs", "played", "marks", "pending")
 
-    def __init__(self, parts: list[Strategy]):
-        self.view, self.u, self.vmap, self.inv, self.zones = (), [], [], {}, {}
-        self.projs, self.pending = [Projection(p.board, k) for k, p in enumerate(parts, 1)], None
-        self.marks = [(0, frozenset(), frozenset())]
+    def __init__(self):
+        self.view, self.u, self.vmap, self.inv, self.played = (), [], [], {}, {}
+        self.projs: dict[int, Projection] = {}
+        self.marks, self.pending = [(0, frozenset(), frozenset())], None
 
     def cut(self, n: int) -> None:
         """Forget the entries of u from index n on."""
         del self.u[n:]
-        for proj in self.projs:
+        for proj in self.projs.values():
             proj.truncate(n)
-        while self.zones and next(reversed(self.zones)) >= n:  # keys grow with u
-            self.zones.popitem()
+        while self.played and next(reversed(self.played)) >= n:  # keys grow with u
+            self.played.popitem()
 
 
 def _seen_by(u: list[IEntry], i: int, e: IEntry, board: Board) -> tuple:
@@ -1036,22 +1080,46 @@ class ChainStrategy(Strategy):
         return proj
 
     @staticmethod
-    def _copy(u: list[IEntry], i: int, part: Answer, opened: dict) -> Optional[tuple]:
-        """Part i's answer to the last entry of u, justified in u, and the
-        zones it opens: the part's `initial` answer, or a `mirror` copy."""
+    def _answer(u: list[IEntry], i: int, part: MachineStrategy, played: dict) -> Optional[tuple]:
+        """Machine part i's answer to the last entry of u, justified in u, and
+        what `played` keeps for it: the u indices of its P-view while the
+        O-moves it justifies fall within the part's horizon, and its zones.
+        Within the horizon the prelude answers on the P-view rebuilt from u;
+        past it, or where the prelude passes, `mirror` copies."""
         x, at = u[-1], len(u) - 1
         comp, j = _seen_by(u, i, x, part.board)
-        if j is None:
-            return part.initial(x.move.pay, at)
-        zones = opened.get(j, ()) if u[j].owner == i else ()
-        return mirror(part.board, Entry(comp, x.move, j), at, zones)
+        path, zones, out = (), (), None
+        if j is not None:
+            if u[j].owner != i:
+                raise OracleError(f"{part.name}: {comp}:{x.move} is justified by a move "
+                                  "it did not play")
+            path, zones = played[j]
+        if path is not None:
+            path += (at,)
+            pos = {k: p for p, k in enumerate(path)}  # the initial's justifier is not in it
+            view = tuple(Entry(SRC if e.iface == i - 1 else TGT, e.move, pos.get(e.justifier),
+                               e.delta if e.owner == i else ()) for e in map(u.__getitem__, path))
+            out = part.prelude(Play(part.board, view), len(path) - 1)
+        if out is None:
+            out = mirror(part.board, Entry(comp, x.move, j), at, zones)
+            if out is None:
+                return None
+            r, zones = out
+        else:
+            r, opened = out
+            r = Response(r.comp, r.move, path[r.justifier], r.delta)
+            zones = [Zone(z.own_comp, z.own_prefix, path[z.tgt_idx], z.tgt_comp, z.tgt_prefix)
+                     for z in opened]
+        keep = path + (len(u),) if path is not None and len(path) < part.horizon else None
+        return r, (keep, zones)
 
     def _bounce(
         self, u: list[IEntry], receiver: int, live: set[Atom], w: _Work
     ) -> Optional[int]:
         """Let strategies react until the ball leaves to an outer interface.
-        `live` holds every atom of u and grows with it; w holds u.  Every
-        part but an `Answer` is asked on its P-view, for a P-move.
+        `live` holds every atom of u and grows with it; w holds u.  A machine
+        part with a horizon is answered from u; every other part is asked on
+        its P-view, for a P-move.
 
         Returns the index in u of the exit move, the last one added, or None.
         """
@@ -1063,25 +1131,25 @@ class ChainStrategy(Strategy):
             if steps > budget:
                 raise CompositionBudget(f"{self.name}: no exit within {budget} steps")
             part = self.parts[receiver - 1]
-            if isinstance(part, Answer):
-                out = self._copy(u, receiver, part, w.zones)
+            if part.horizon is not None:
+                out = self._answer(u, receiver, part, w.played)
                 if out is None:
                     return None
-                r, w.zones[len(u)] = out
-                u_j = r.justifier
+                r, w.played[len(u)] = out
             else:
-                proj = self._project(u, w.projs[receiver - 1])
+                proj = self._project(u, w.projs.get(receiver) or w.projs.setdefault(
+                    receiver, Projection(part.board, receiver)))
                 view, view_idx = proj.views[-1]
                 r = part.respond(view)
                 if r is None:
                     return None
                 if part.board.label(r.comp, r.move)[0] != "P":
                     raise OracleError(f"{part.name}: answer {r.comp}:{r.move} is an O-move")
-                u_j = proj.origins[view_idx[r.justifier]]  # the justifier in u
-                r = _freshen(r, live)
-                live.update(r._iter_atoms_())
+                r = Response(r.comp, r.move, proj.origins[view_idx[r.justifier]], r.delta)
+            r = _freshen(r, live)  # r is justified in u from here on
+            live.update(r._iter_atoms_())
             iface = (receiver - 1) if r.comp == SRC else receiver
-            u.append(IEntry(iface, r.move, u_j, r.delta, receiver))
+            u.append(IEntry(iface, r.move, r.justifier, r.delta, receiver))
             if iface == 0 or iface == n:
                 return len(u) - 1
             receiver = iface if r.comp == SRC else iface + 1
@@ -1111,7 +1179,7 @@ class ChainStrategy(Strategy):
         view extends it, and play only the view's O-moves after that prefix.
         u then is what a replay from scratch builds, so the answer is the
         same.  A raise or a refusal drops the interaction."""
-        w, self._work = self._work or _Work(self.parts), None
+        w, self._work = self._work or _Work(), None
         es = view.entries
         vmap, inv, marks = w.vmap, w.inv, w.marks
         ids, s = _resume(w.view, view)
@@ -1150,7 +1218,7 @@ class ChainStrategy(Strategy):
             pi = _complete_to_permutation(dict(zip(r.delta, expected.delta)))
             for j in range(lo, len(u)):
                 u[j] = u[j]._map_atoms_(pi)
-            for proj in w.projs:
+            for proj in w.projs.values():
                 proj.truncate(lo)
             r = r._map_atoms_(pi)
         if r != expected:
@@ -1439,7 +1507,7 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
     `_play`: the component plays (s, t) it induces and the composite play.
     An O-move the chain refuses ends the walk and leaves no trace."""
     chain = ChainStrategy([sigma, tau])
-    w, live = _Work(chain.parts), set()
+    w, live = _Work(), set()
     composite = Play(chain.board)
     for _ in range(steps):
         opts = list(legal_o_extensions_of_play(composite, budget))
@@ -1451,5 +1519,6 @@ def random_interaction(sigma: Strategy, tau: Strategy, rng, steps: int, budget: 
             w.cut(o)
             break
         composite = composite.append(ext).append(r)
-    s_play, t_play = (Play(p.board, tuple(chain._project(w.u, p).entries)) for p in w.projs)
+    s_play, t_play = (Play(p.board, tuple(chain._project(w.u, Projection(p.board, i)).entries))
+                      for i, p in enumerate(chain.parts, 1))
     return s_play, t_play, composite

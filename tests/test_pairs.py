@@ -47,6 +47,25 @@ def test_summary_of_alternating_pairs():
     assert out["synthesis"]["wall_s"]["ratio_of_medians"] == 0.5
 
 
+def test_gain_shown_and_worse_beyond_bound():
+    """A gain needs 9 of 10 pairs won and a median gap wider than the
+    parent's interquartile range; worse beyond the bound compares the ratio
+    of medians with the bound BENCHMARK.json gives the metric."""
+    assert pairs.BOUNDS == {"setup_s": 0.25, "wall_s": 0.25, "verdict_p50_s": 0.25,
+                            "peak_rss_mb": 0.15}
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    gain = pairs.metric_summary(parent, [x - 1.0 for x in parent], 0.25)
+    assert gain["gain_shown"] and not gain["worse_beyond_bound"]
+    eight = [x - 1.0 for x in parent[:8]] + parent[8:]  # 8 of 10 pairs won
+    assert not pairs.metric_summary(parent, eight, 0.25)["gain_shown"]
+    narrow = pairs.metric_summary(parent, [x - 0.05 for x in parent], 0.25)
+    assert narrow["change_better_pairs"] == 10 and not narrow["gain_shown"]  # gap < IQR
+    assert pairs.metric_summary(parent, [x * 1.26 for x in parent], 0.25)["worse_beyond_bound"]
+    within = pairs.metric_summary(parent, [x * 1.24 for x in parent], 0.25)
+    assert not within["worse_beyond_bound"] and not within["gain_shown"]
+    assert pairs.metric_summary(parent, [x * 1.2 for x in parent], 0.15)["worse_beyond_bound"]
+
+
 def test_seed_ranges():
     assert pairs.parse_seeds("401-403") == [401, 402, 403]
     assert pairs.parse_seeds("7,9") == [7, 9]

@@ -17,8 +17,11 @@ from nurho.arenas import (
     NatArena,
     One,
     STAR,
+    STAR1,
+    STAR2,
     Store,
     Tensor,
+    mk_merge,
     t_arena,
     translate_type,
 )
@@ -28,7 +31,6 @@ from nurho.plays import (
     is_innocent_play, pview, view_indices,
 )
 from nurho.strategies import (
-    Answer,
     Bang,
     Binom,
     ChainStrategy,
@@ -39,6 +41,7 @@ from nurho.strategies import (
     DrfStrategy,
     Dn,
     EqStrat,
+    Ev,
     LambdaC,
     LambdaInv,
     LiftF,
@@ -583,10 +586,11 @@ def _zoned(s):
 
 
 # every transformer in the zoo whose views go past its prefix (ForgetUpdate
-# is a copycat machine; flat components end at the paired answer)
+# and Ev are copycat machines; flat components end at the paired answer)
 ROUND_TRIP = sorted(
     set(GOLDEN)
     - {"pair-1-2", "tensor-diag-id", "tensor-namesproj", "tensor-succ-id", "write-rest"}
+    - {"ev-N-liftN", "ev-t-N"}
     - {n for n in GOLDEN if n.startswith("den-")}
 )
 
@@ -937,7 +941,7 @@ def test_nominal_values_are_slotted():
 
 
 # ---------------------------------------------------------------------------
-# Answer parts answered from the interaction; guarded entries
+# Machine parts answered from the interaction; guarded entries
 # ---------------------------------------------------------------------------
 
 class Forward(Strategy):
@@ -970,6 +974,19 @@ ANSWERS = {
     "unit-elim-right": lambda: unit_elim_right(LN),
     "refuses-0": lambda: NatFn(lambda n: n - 1, "pred-or-refuse"),
 }
+# one of each machine with a horizon, and Ev on both target shapes
+MACHINES = {
+    "up": lambda: Up(NatArena()),
+    "dn": lambda: Dn(NatArena()),
+    "st": lambda: St(NatArena(), NatArena()),
+    "pu": lambda: Pu(LN),
+    "new": lambda: NewName((NAT,), NAT, NatArena()),
+    "binom": lambda: Binom((NAT,), (0, None), (NAT, NAT)),
+    "drf": lambda: DrfStrategy(NAT, 1),
+    "cnd": lambda: CndStrategy(NatArena(), 1),
+    "ev-lift": lambda: Ev(NatArena(), LN),
+    "ev-t": lambda: Ev(GN, t_arena(NatArena(), 1)),
+}
 # permutations of the flat sources, asked as tables through their projections
 FLAT_BEFORE = {
     NatArena(): lambda: NatFn(lambda n: 2 - n if n <= 2 else n),
@@ -978,24 +995,26 @@ FLAT_BEFORE = {
 }
 
 
-def _neighbours(a: Answer) -> tuple[Strategy, Strategy]:
-    """A strategy before a, which the chain asks through its projection: Pu
-    on a pointed source, else a table of a permutation; and Up after it."""
+def _neighbours(a: MachineStrategy) -> tuple[Strategy, Strategy]:
+    """A strategy before a: Pu on a pointed source, a table of a permutation
+    on a flat one, else the identity; and Up after it."""
     src = a.board.src
     if src.is_pointed():
         before = Pu(src)
-    else:
+    elif src in FLAT_BEFORE:
         before = strat_of_viewf(viewfunction(FLAT_BEFORE[src](), 8, GOLD))
+    else:
+        before = identity(src)
     return before, Up(a.board.tgt)
 
 
-@pytest.mark.parametrize("name", sorted(ANSWERS))
+@pytest.mark.parametrize("name", sorted(ANSWERS) + sorted(MACHINES))
 def test_answer_parts_answer_as_when_asked(name):
-    """An Answer part answers from the interaction as it answers when a chain
-    asks it through its projection: the depth-8 tables of the chains with
-    it at either end and in the middle are those of the chains with it
-    hidden behind a forwarding strategy."""
-    a = ANSWERS[name]()
+    """An Answer or other machine part answers from the interaction as it
+    answers when a chain asks it through its projection: the depth-8 tables
+    of the chains with it at either end and in the middle are those of the
+    chains with it hidden behind a forwarding strategy."""
+    a = {**ANSWERS, **MACHINES}[name]()
     before, after = _neighbours(a)
     sizes = []
     for shape in ((a, after), (before, a), (before, a, after)):
@@ -1007,30 +1026,86 @@ def test_answer_parts_answer_as_when_asked(name):
     assert min(sizes) > 0, sizes
 
 
-def test_chains_answer_for_their_answer_parts(monkeypatch):
-    """No Answer part of a chain is asked through `respond` by the chain: the
-    chains of the transformer zoo and of the Answer builders answer for
-    every Answer part from the interaction."""
-    bounce, copy, respond = ChainStrategy._bounce, ChainStrategy._copy, Strategy.respond
-    seen = {"asked": 0, "copied": 0}
+def test_chains_answer_for_their_machine_parts(monkeypatch):
+    """No machine with a horizon is asked through `respond` by a chain: the
+    chains of the transformer zoo and of the Answer builders and machines
+    above answer for every such part from the interaction."""
+    bounce, answer, respond = ChainStrategy._bounce, ChainStrategy._answer, Strategy.respond
+    seen = {"asked": 0, "answered": set()}
 
     def counted_respond(self, view):
-        seen["asked"] += isinstance(self, Answer) and sys._getframe(1).f_code is bounce.__code__
+        if self.horizon is not None and sys._getframe(1).f_code is bounce.__code__:
+            seen["asked"] += 1
         return respond(self, view)
 
-    def counted_copy(*args):
-        seen["copied"] += 1
-        return copy(*args)
+    def counted_answer(u, i, part, played):
+        seen["answered"].add(type(part))
+        return answer(u, i, part, played)
 
     monkeypatch.setattr(model, "_DEN_CACHE", {})
     monkeypatch.setattr(Strategy, "respond", counted_respond)
-    monkeypatch.setattr(ChainStrategy, "_copy", staticmethod(counted_copy))
+    monkeypatch.setattr(ChainStrategy, "_answer", staticmethod(counted_answer))
     for build in transformer_zoo().values():
         viewfunction(build(), 8, GOLD)
-    for build in ANSWERS.values():
+    for build in [*ANSWERS.values(), *MACHINES.values()]:
         a = build()
         viewfunction(ChainStrategy([*_neighbours(a)[:1], a, Up(a.board.tgt)]), 8, GOLD)
-    assert seen["asked"] == 0 and seen["copied"] > 1000, seen
+    horizons = {type(build()) for build in [*ANSWERS.values(), *MACHINES.values()]}
+    assert seen["asked"] == 0 and seen["answered"] == horizons, seen
+
+
+def test_machines_answer_within_their_horizon(monkeypatch):
+    """No machine's prelude answers at a P-view index past its horizon, over
+    the transformer zoo and each machine alone at depth 10, and each one
+    answers at its horizon."""
+    reached = {}
+
+    def wrapped(cls, prelude):
+        def run(self, view, i):
+            out = prelude(self, view, i)
+            if out is not None:
+                assert i <= cls.horizon, (cls.__name__, i, view.pretty())
+                reached[cls] = max(reached.get(cls, 0), i)
+            return out
+        return run
+
+    kinds = [MachineStrategy]
+    for cls in kinds:
+        kinds.extend(cls.__subclasses__())
+    horizons = {cls for cls in kinds if cls.horizon is not None}
+    for cls in horizons:
+        monkeypatch.setattr(cls, "prelude", wrapped(cls, vars(cls)["prelude"]))
+    monkeypatch.setattr(model, "_DEN_CACHE", {})
+    for build in [*transformer_zoo().values(), *ANSWERS.values(), *MACHINES.values()]:
+        viewfunction(build(), 10, GOLD)
+    assert reached == {cls: cls.horizon for cls in horizons}, reached
+
+
+def test_ev_is_lambda_inverse_of_the_identity():
+    """Ev(b, c) has the depth-8 table of its reference, Λ⁻¹ of the identity
+    on b ⊸⊗ c, for lifted and arrow-shaped targets."""
+    N = NatArena()
+    for b in (N, GN, Tensor(N, GN)):
+        for c in (LN, Lift(Tensor(N, GN)), t_arena(N, 1), t_arena(GN, 1)):
+            ref = LambdaInv(identity(mk_merge(b, c)), c)
+            assert strategy_equal(Ev(b, c), ref, 8, GOLD), (b, c)
+
+
+def test_machine_part_raises_on_an_o_move_under_a_move_it_did_not_play():
+    """A table T over 1 -> lift(N) answers t:a:0 justified by its own t:*1.
+    The machine after T sees an O-move justified by a move it did not play:
+    the chain raises OracleError naming that part."""
+    N = NatArena()
+    start = [(SRC, Move((), STAR), None), (TGT, Move((), STAR1), 0),
+             (TGT, Move(("u",), STAR2), 1)]
+    bad = Play(Board(One(), LN), tuple(Entry(*e) for e in start) + (
+        Entry(TGT, Move(("a",), 0), 1),))
+    t = TableStrategy(Board(One(), LN), [bad], "T")
+    with pytest.raises(OracleError, match="id: s:.*a.* is justified by a move it did not play"):
+        run_view(ChainStrategy([t, identity(LN)]), *start)
+    up_view = start + [(TGT, Move(("a",), STAR1), 2), (TGT, Move(("a", "u"), STAR2), 3)]
+    with pytest.raises(OracleError, match="up: s:.*a.* is justified by a move it did not play"):
+        run_view(ChainStrategy([t, Up(LN)]), *up_view)
 
 
 def test_chain_refuses_where_its_answer_part_refuses():

@@ -15,8 +15,9 @@ differs from the one the file records for its side stops the run with
 exit status 1.  After every pair the file is
 rewritten: the runs in the order they ran, and per workload the median and
 quartiles of each end-to-end metric on each side, the ratio of the medians
-(change / parent) and the number of pairs the change won (ties count for
-neither side).
+(change / parent), the number of pairs the change won (ties count for
+neither side), whether that shows a gain and whether the change is worse
+than the parent beyond the metric's bound in BENCHMARK.json (read only).
 """
 from __future__ import annotations
 
@@ -29,31 +30,39 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "verdict_p50_s", "peak_rss_mb")  # all lower-better
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}  # read, never written
 SECONDS = 30  # the benchmark's run length
 WHAT = ("bench/run.py result lines for the parent and the change checkout in alternating"
         " pairs (odd-numbered pairs ran the parent first, even-numbered ones the change"
         " first), listed in the order they ran, written by tools/pairs.py")
 
 
-def metric_summary(parent: list[float], change: list[float]) -> dict:
+def metric_summary(parent: list[float], change: list[float], bound: float) -> dict:
     """Medians, inclusive quartiles and pair wins of one metric; the two
-    lists hold the sides of the same pairs, in order."""
+    lists hold the sides of the same pairs, in order.  A gain is shown when
+    the change wins at least 9 of 10 pairs and its median is lower by more
+    than the parent's interquartile range; the change is worse beyond the
+    bound when its median exceeds the parent's by more than that fraction."""
     pm, cm = statistics.median(parent), statistics.median(change)
 
     def quartiles(xs):
         if len(xs) < 2:
-            return [round(xs[0], 4)] * 2
+            return [xs[0]] * 2
         q = statistics.quantiles(xs, n=4, method="inclusive")
-        return [round(q[0], 4), round(q[2], 4)]
+        return [q[0], q[2]]
 
+    pq, wins = quartiles(parent), sum(c < p for p, c in zip(parent, change))
     return {
         "parent_median": round(pm, 4),
-        "parent_quartiles": quartiles(parent),
+        "parent_quartiles": [round(q, 4) for q in pq],
         "change_median": round(cm, 4),
-        "change_quartiles": quartiles(change),
+        "change_quartiles": [round(q, 4) for q in quartiles(change)],
         "ratio_of_medians": round(cm / pm, 3),
-        "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
+        "change_better_pairs": wins,
         "pairs": len(parent),
+        "gain_shown": 10 * wins >= 9 * len(parent) and pm - cm > pq[1] - pq[0],
+        "worse_beyond_bound": cm > pm * (1 + bound),
     }
 
 
@@ -83,7 +92,7 @@ def summarize(runs: list[dict]) -> dict:
                 for s in sides
             }
             if pairs:
-                summary[m] = metric_summary(vals["parent"], vals["change"])
+                summary[m] = metric_summary(vals["parent"], vals["change"], BOUNDS[m])
         out[w] = summary
     return out
 

@@ -115,8 +115,8 @@ def cmd_denote(args) -> int:
 
 def cmd_compose(args) -> int:
     try:
-        s = play_from_json(json.load(open(args.left)))
-        t = play_from_json(json.load(open(args.right)))
+        with open(args.left) as f, open(args.right) as g:
+            s, t = play_from_json(json.load(f)), play_from_json(json.load(g))
     except (OSError, ValueError, KeyError) as e:
         print(f"cannot load plays: {e}", file=sys.stderr)
         return 2
@@ -136,7 +136,8 @@ def cmd_compose(args) -> int:
 def cmd_check(args) -> int:
     if args.what == "play":
         try:
-            p = play_from_json(json.load(open(args.target)))
+            with open(args.target) as f:
+                p = play_from_json(json.load(f))
         except (OSError, ValueError, KeyError) as e:
             print(f"cannot load play: {e}", file=sys.stderr)
             return 2
@@ -415,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                        parents=[common])
     p.add_argument("what", choices=["play", "strategy", "tidy", "diagram"])
     p.add_argument("target", help="play file, term, or diagram name")
-    p.add_argument("--mode", choices=["plain", "innocent"], default="plain")
+    p.add_argument("--mode", choices=["plain", "innocent", "unbracketed"], default="plain")
     p.add_argument("--type", default="N")
     p.add_argument("--type2", default="1")
     p.set_defaults(fn=cmd_check)

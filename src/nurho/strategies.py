@@ -20,7 +20,9 @@ Three kinds of strategies cover everything downstream:
 * view transformers: combinators (pairing, tensor, lifting, currying,
   head separation) on one engine that renames the view zone by zone into
   an inner strategy's view and the inner answer back, growing the inner
-  view kept for the shared prefix;
+  view kept for the shared prefix.  Pairing, tensor, lifting and currying
+  of machines with a horizon are machines, replaying the inner machine
+  and renaming its zones through the same table;
 * chains: composites that replay the view through an n-ary parallel
   interaction of their parts, kept and resumed from the prefix shared.
   One walk step, `ChainStrategy._play`, plays an outer O-move and bounces
@@ -109,7 +111,7 @@ def _resume(kept: tuple, view: Play) -> tuple[tuple[int, ...], int]:
     """The ids of the view's own entries, and how many leading ones it shares
     with the ids `kept`.  A view as `respond` passes it on is its own
     canonical form, and its ids are its key."""
-    own = view.canon()[2] is view.entries
+    own = view._canon is not None and view._canon[2] is view.entries
     ids = view.key() if own else tuple(map(entry_id, view.entries))
     s, top = 0, min(len(ids), len(kept))
     while s < top and ids[s] == kept[s]:
@@ -184,41 +186,49 @@ class MachineStrategy(Strategy):
     for a machine with a `horizon` from the interaction (`ChainStrategy._answer`).
     """
 
-    start = 1  # the index of the first response decided
-    links: dict = {}  # the zones open before start, by the index opening them
-    _kept: Optional[tuple] = None  # (view ids, responses, links) of the last replay
+    first = 1  # the index of the first response decided
+    links: dict = {}  # the zones open before first, by the index opening them
+    _steps: Optional[tuple] = None  # (view ids, responses, links) of the last replay
 
     def prelude(self, view, i):
         return None
 
     def respond_raw(self, view: Play) -> Optional[Response]:
-        """Decide the responses at indices start, start + 2, ... of the view,
-        each checked against it.  The steps shared with the view replayed
-        last, and the zones they opened, are kept; a raise drops them."""
-        start = self.start
-        (kept, rs, links), self._kept = self._kept or ((), [], dict(self.links)), None
+        out = self.replay(view)
+        return out and out[0]
+
+    def replay(self, view: Play) -> Optional[tuple]:
+        """The response to the view and the zones it opens, or None.  Decide
+        the responses at indices first, first + 2, ... of the view, each
+        checked against it.  The steps shared with the view replayed last,
+        and the zones they opened, are kept; a raise drops them."""
+        first = self.first
+        (kept, rs, links), self._steps = self._steps or ((), [], dict(self.links)), None
         ids, s = _resume(kept, view)
-        del rs[max((s - start) // 2 + 1, 0):]  # the steps at indices up to s
-        for k in [k for k in links if k >= start + 2 * len(rs)]:
+        del rs[max((s - first) // 2 + 1, 0):]  # the steps at indices up to s
+        for k in [k for k in links if k >= first + 2 * len(rs)]:
             del links[k]
-        for k in range(start + 2 * max(len(rs) - 1, 0), len(view) + 1, 2):
-            if len(rs) == (k - start) // 2:
+        for k in range(first + 2 * max(len(rs) - 1, 0), len(view) + 1, 2):
+            if len(rs) == (k - first) // 2:
                 x = view.entries[k - 1]
                 out = self.prelude(Play(view.board, view.entries[:k]), k - 1)
                 out = out or mirror(self.board, x, k - 1, links.get(x.justifier, ()))
                 if out is None:
                     if k < len(view):
                         raise OracleError(f"{self.name}: view extends a non-response")
-                    self._kept = (ids, rs, links)
+                    self._steps = (ids, rs, links)
                     return None
                 rs.append(out[0])
                 links[k] = out[1]
-            r = rs[(k - start) // 2]
+            r = rs[(k - first) // 2]
             x = view.entries[k] if k < len(view) else r
+            if r.delta != x.delta and len(r.delta) == len(x.delta):  # the view named them
+                pi = _complete_to_permutation(dict(zip(r.delta, x.delta)))
+                r = rs[(k - first) // 2] = r._map_atoms_(pi)
             if (x.comp, x.move, x.justifier) != (r.comp, r.move, r.justifier):
                 raise OracleError(f"{self.name}: view disagrees with oracle at {k}: {x} vs {r}")
-        self._kept = (ids, rs, links)
-        return r
+        self._steps = (ids, rs, links)
+        return r, links[len(view)]
 
 
 def mirror(board: Board, x: Entry, i: int, zones: Iterable[Zone]):
@@ -627,6 +637,26 @@ class ZoneTable:
         """An inner response (or entry) as an outer one."""
         return _relabel(self._bwd, r, -shift)
 
+    def zones(self, zones: Iterable[Zone], shift: int) -> list[Zone]:
+        """Inner zones as outer ones: each side as `bwd` renames an entry at
+        its prefix, justified by the zone's index.  A side whose prefix the
+        inner prefix of a table zone extends is split along the extensions."""
+        out = []
+        for z in zones:
+            for comp, pre in ((z.own_comp, z.own_prefix), (z.tgt_comp, z.tgt_prefix)):
+                n = len(pre)
+                ext = [t.o_prefix[n:] for t in self._bwd
+                       if t.o_comp == comp and len(t.o_prefix) > n and t.o_prefix[:n] == pre]
+                if ext:
+                    out += self.zones([Zone(z.own_comp, z.own_prefix + x, z.tgt_idx,
+                                            z.tgt_comp, z.tgt_prefix + x) for x in ext], shift)
+                    break
+            else:
+                own = _relabel(self._bwd, Entry(z.own_comp, Move(z.own_prefix), 0), 0)
+                tgt = _relabel(self._bwd, Entry(z.tgt_comp, Move(z.tgt_prefix), z.tgt_idx), -shift)
+                out.append(Zone(own.comp, own.move.addr, tgt.justifier, tgt.comp, tgt.move.addr))
+        return out
+
 
 def _relabel(zones: list[TZone], x, shift: int):
     for z in zones:
@@ -646,7 +676,7 @@ def _relabel(zones: list[TZone], x, shift: int):
     raise OracleError(f"no zone holds {x}")
 
 
-class ZonedTransform(Strategy):
+class ZonedTransform(MachineStrategy):
     """Delegate to an inner strategy through a zone table.
 
     Views shorter than `start` go to `head`.  For the others `prefix`
@@ -656,10 +686,32 @@ class ZonedTransform(Strategy):
     for each head (first `start` entries) of the views answered; the inner
     view of each prefix of the view answered last is kept, and a view with
     the same head grows the inner view of the prefix it shares by its later
-    entries.  A raise drops them."""
+    entries.  A raise drops them.
+
+    A transformer whose inner strategies are all machines with a horizon
+    is a machine too (`machine`): its prelude is the head below index
+    start - 1 and, from there, the inner machine's replay on the inner view
+    of the kept head grown by the later entries, its answer and zones
+    renamed back through the table.  Past its horizon,
+    max(start - 1, inner horizon - shift), it copies through those zones;
+    an O-move under a head move lies within it, so the head opens none."""
 
     start = 1
     _kept: Optional[tuple] = None  # (view ids, (inner, table, shift) or None, inner views)
+
+    def machine(self, *inner: Strategy, shift: int = 0) -> None:
+        """State a horizon when every inner strategy has one; `shift` is the
+        inner index minus the outer one past the head."""
+        if all(s.horizon is not None for s in inner):
+            self.horizon = max(self.start - 1, max(s.horizon for s in inner) - shift)
+
+    def ask(self, inner: Strategy, entries: tuple) -> Optional[Response]:
+        """The inner strategy's answer to the view of `entries`: replayed
+        when this transformer is a machine, else asked."""
+        if self.horizon is None:
+            return inner.respond(Play(inner.board, entries))
+        out = inner.replay(Play(inner.board, entries))
+        return out and out[0]
 
     def head(self, view: Play) -> Optional[Response]:
         raise NotImplementedError
@@ -669,19 +721,38 @@ class ZonedTransform(Strategy):
         reads only the view's first `start` entries."""
         raise NotImplementedError
 
+    def enter(self, view: Play, ids: tuple) -> tuple:
+        """What is kept for a view with a new head: its ids, `prefix`'s inner
+        strategy, table and shift (or None), and the inner view of the head."""
+        out = self.prefix(view)
+        if out is None:
+            return ids, None, []
+        inner, entries, table = out
+        return ids, (inner, table, len(entries) - self.start), [Play(inner.board, entries)]
+
+    def prelude(self, view, i):
+        if i < self.start - 1:
+            r = self.head(view)
+            return None if r is None else (r, [])
+        kept, self._kept = self._kept, None
+        head = tuple(map(entry_id, view.entries[: self.start]))
+        if kept is None or kept[0][: self.start] != head:
+            kept = self.enter(view, head)
+        out = None
+        if kept[1] is not None:
+            inner, table, shift = kept[1]
+            fwd = tuple(table.fwd(e, shift) for e in view.entries[self.start:])
+            out = inner.replay(Play(inner.board, kept[2][0].entries + fwd))
+        self._kept = kept
+        return out and (table.bwd(out[0], shift), table.zones(out[1], shift))
+
     def respond_raw(self, view: Play) -> Optional[Response]:
         if len(view) < self.start:
             return self.head(view)
         kept, self._kept = self._kept, None
         ids, s = _resume(kept[0] if kept else (), view)
         if s < self.start:
-            out = self.prefix(view)
-            if out is None:
-                kept = (ids, None, [])
-            else:
-                inner, entries, table = out
-                shift = len(entries) - self.start
-                kept = (ids, (inner, table, shift), [Play(inner.board, entries)])
+            kept = self.enter(view, ids)
         _, through, views = kept  # views[i]: the inner view of the first start + i entries
         if through is None:
             self._kept = (ids, None, views)
@@ -712,6 +783,7 @@ class Pairing(ZonedTransform):
     def _setup(self, f, g, src, name):
         super().__init__(Board(src, Tensor(f.board.tgt, g.board.tgt)), name)
         self.f, self.g = f, g
+        self.machine(f, g)
 
     def inits(self, view) -> tuple:
         """The initial views of f and g."""
@@ -719,10 +791,10 @@ class Pairing(ZonedTransform):
 
     def head(self, view):
         fv, gv = self.inits(view)
-        rf = self.f.respond(Play(self.f.board, fv))
+        rf = self.ask(self.f, fv)
         if rf is None:
             return None
-        rg = self.g.respond(Play(self.g.board, gv))
+        rg = self.ask(self.g, gv)
         if rg is None:
             return None
         rg = _freshen(rg, set(support(view)) | set(atoms_of(rf)) | set(rf.delta))
@@ -733,7 +805,7 @@ class Pairing(ZonedTransform):
         side = view.entries[2].move.addr[0]
         inner = self.f if side == "l" else self.g
         init = self.inits(view)[side == "r"]
-        r = inner.respond(Play(inner.board, init))
+        r = self.ask(inner, init)
         table = self.TABLES[side]
         return inner, init + (Entry(TGT, r.move, 0, r.delta), table.fwd(view.entries[2], 0)), table
 
@@ -769,6 +841,7 @@ class LiftF(ZonedTransform):
             Board(Lift(f.board.src), Lift(f.board.tgt)), f"lift({f.name})"
         )
         self.f = f
+        self.machine(f, shift=-self.start)
 
     def head(self, view):
         if len(view) == 1:
@@ -819,6 +892,7 @@ class LambdaC(ZonedTransform):
         super().__init__(Board(x, mk_merge(b, f.board.tgt)), f"Λ({f.name})")
         self.f = f
         self.with_store = s is not None
+        self.machine(f)
 
     def head(self, view):
         return Response(TGT, Move((), STAR), 0)
@@ -863,13 +937,14 @@ class LambdaInv(ZonedTransform):
         super().__init__(Board(Tensor(g.board.src, b), c), f"Λ'({g.name})")
         self.g = g
         self.with_store = s is not None
+        self.machine(g)
 
     @staticmethod
     def _x_view(view) -> tuple:
         return (Entry(SRC, Move((), view.entries[0].move.pay[1]), None, ()),)
 
     def head(self, view):
-        r = self.g.respond(Play(self.g.board, self._x_view(view)))
+        r = self.ask(self.g, self._x_view(view))
         if r is None:
             return None
         pt = STAR1 if not self.with_store else STAR

@@ -542,7 +542,7 @@ class ForgetUpdate(MachineStrategy):
     """Case 3b's sigma': behave like sigma but pass the updated name to the
     previous store instead of answering it."""
 
-    start = 5  # in the thread, copycat the question and all that follows it
+    first = 5  # in the thread, copycat the question and all that follows it
 
     def __init__(self, inner: Strategy, m0: Move, q_atom: Atom):
         super().__init__(inner.board, f"{inner.name}∖upd")

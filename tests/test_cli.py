@@ -12,6 +12,14 @@ from nurho.strategies import TensorOf, compose, identity, strategy_leq, unit_int
 from nurho.syntax import Arrow, TypecheckError, UNIT, infer, parse_term
 
 
+def LEAKS_FAIL(test):
+    """Fail the test on a file the CLI leaves open: its ResourceWarning is
+    raised in the file's finalizer, and pytest reports that as unraisable."""
+    for w in ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"):
+        test = pytest.mark.filterwarnings(w)(test)
+    return test
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -81,6 +89,7 @@ class TestCheckCmd:
         code, out, _ = run(capsys, "check", "strategy", "0")
         assert code == 0 and "determinacy ok" in out
 
+    @LEAKS_FAIL
     def test_play_roundtrip(self, tmp_path, capsys):
         from nurho.arenas import Move, Names, One, STAR
         from nurho.nominal import Atom
@@ -101,6 +110,7 @@ class TestCheckCmd:
         assert code == 0 and "ok" in out
 
 
+@LEAKS_FAIL
 class TestMalformedPlay:
     """A play file of a shape the reader cannot use is an input error."""
 
@@ -152,6 +162,7 @@ class TestMalformedPlay:
             assert code == 2 and "cannot load plays" in err
 
 
+@LEAKS_FAIL
 def test_compose_refuses_an_illegal_play(tmp_path, capsys):
     """A left play over 1 -> 1 whose source move points at a target move is
     composable by the zipper alone; it is no play, so composition refuses
@@ -178,6 +189,27 @@ def test_compose_refuses_an_illegal_play(tmp_path, capsys):
     assert code == 1 and json.loads(out)["composable"] is False
     code, _, _ = run(capsys, "compose", str(files[1]), str(files[1]))
     assert code == 0
+
+
+@LEAKS_FAIL
+def test_check_play_modes_on_a_broken_bracket(tmp_path, capsys):
+    """A play whose last answer is not to the pending question fails
+    `check play` in plain mode and passes in unbracketed mode."""
+    from nurho.arenas import MERGE, PAIR, STAR, STORE0, Move, NatArena, t_arena
+    from nurho.plays import Board, Entry, Play, play_to_json_full
+
+    call = (MERGE, (PAIR, STAR, STORE0))
+    p = Play(Board(sden(Arrow(Arrow(UNIT, UNIT), UNIT), 2), t_arena(NatArena(), 2)), (
+        Entry("s", Move((), STAR), None), Entry("t", Move((), STAR), 0),
+        Entry("t", Move(("j",), (MERGE, STORE0)), 1), Entry("s", Move(("j",), call), 0),
+        Entry("s", Move(("a", "l", "j"), call), 3), Entry("t", Move(("b",), (PAIR, 0, STORE0)), 2),
+    ))
+    f = tmp_path / "play.json"
+    f.write_text(json.dumps(play_to_json_full(p)))
+    code, out, _ = run(capsys, "check", "play", str(f))
+    assert code == 1 and "bracketing@5" in out
+    code, out, _ = run(capsys, "check", "play", str(f), "--mode", "unbracketed")
+    assert code == 0 and "ok" in out
 
 
 class TestSynthCmd:

@@ -691,7 +691,7 @@ def _zoo_tables(monkeypatch, fresh: bool) -> dict:
     """The depth-8 tables and plays of the zoo, built on fresh memos; with
     `fresh`, every chain answers every view from a new working interaction,
     and every transformer and machine from no kept state, as fresh ones do."""
-    raw, zoned, replay = ChainStrategy.respond_raw, ZonedTransform.respond_raw, MachineStrategy.respond_raw
+    raw, zoned, replay = ChainStrategy.respond_raw, ZonedTransform.respond_raw, MachineStrategy.replay
 
     def fresh_raw(self, view):
         self._work = None
@@ -702,7 +702,7 @@ def _zoo_tables(monkeypatch, fresh: bool) -> dict:
         return zoned(self, view)
 
     def fresh_replay(self, view):
-        self._kept = None
+        self._steps = self._kept = None
         return replay(self, view)
 
     out = {}
@@ -710,7 +710,7 @@ def _zoo_tables(monkeypatch, fresh: bool) -> dict:
         if fresh:
             m.setattr(ChainStrategy, "respond_raw", fresh_raw)
             m.setattr(ZonedTransform, "respond_raw", fresh_zoned)
-            m.setattr(MachineStrategy, "respond_raw", fresh_replay)
+            m.setattr(MachineStrategy, "replay", fresh_replay)
         m.setattr(model, "_DEN_CACHE", {})
         for name, build in transformer_zoo().items():
             vf = viewfunction(build(), 8, GOLD)
@@ -753,7 +753,8 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
 
     def tracked(fn, kind):
         def run(self, view):
-            stack.append((kind, getattr(self, "start", 0)))
+            first = self.first if kind is MachineStrategy else getattr(self, "start", 0)
+            stack.append((kind, first))
             try:
                 return fn(self, view)
             finally:
@@ -776,7 +777,7 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
         ZonedTransform, "respond_raw", tracked(ZonedTransform.respond_raw, ZonedTransform)
     )
     monkeypatch.setattr(
-        MachineStrategy, "respond_raw", tracked(MachineStrategy.respond_raw, MachineStrategy)
+        MachineStrategy, "replay", tracked(MachineStrategy.replay, MachineStrategy)
     )
     monkeypatch.setattr(ChainStrategy, "respond_raw", tracked(ChainStrategy.respond_raw, None))
     resumed = _zoo_tables(monkeypatch, fresh=False)
@@ -787,13 +788,15 @@ def test_transformers_and_machines_resume_and_answer_like_fresh_ones(monkeypatch
 
 def test_transformers_run_prefix_once_per_head(monkeypatch):
     """A transformer runs `prefix` only on a view whose first `start` entries
-    differ from those of the last view past its head it answered; across the
-    zoo most such views reuse the prefix of the view before."""
-    raw, last, seen = ZonedTransform.respond_raw, {}, {"views": 0, "prefix": 0}
+    differ from those of the last view past its head it answered, when asked
+    or as a machine's prelude; across the zoo most such views reuse the
+    prefix of the view before."""
+    raw, prelude = ZonedTransform.respond_raw, ZonedTransform.prelude
+    last, seen = {}, {"views": 0, "prefix": 0, "preludes": 0}
 
-    def counted_raw(self, view):
+    def answered(self, view, run):
         try:
-            r = raw(self, view)
+            r = run()
         except Exception:
             last.pop(self, None)  # a raise drops what the transformer kept
             raise
@@ -801,6 +804,13 @@ def test_transformers_run_prefix_once_per_head(monkeypatch):
             seen["views"] += 1
             last[self] = view
         return r
+
+    def counted_raw(self, view):
+        return answered(self, view, lambda: raw(self, view))
+
+    def counted_prelude(self, view, i):
+        seen["preludes"] += i >= self.start - 1
+        return answered(self, view, lambda: prelude(self, view, i))
 
     def checked(prefix):
         def run(self, view):
@@ -816,10 +826,15 @@ def test_transformers_run_prefix_once_per_head(monkeypatch):
         if "prefix" in vars(cls):
             monkeypatch.setattr(cls, "prefix", checked(vars(cls)["prefix"]))
     monkeypatch.setattr(ZonedTransform, "respond_raw", counted_raw)
+    monkeypatch.setattr(ZonedTransform, "prelude", counted_prelude)
     monkeypatch.setattr(model, "_DEN_CACHE", {})
     for build in transformer_zoo().values():
         viewfunction(build(), 8, GOLD)
+    for build in DERIVED.values():
+        d = build()
+        viewfunction(ChainStrategy([d, Up(d.board.tgt)]), 8, GOLD)
     assert seen["views"] > 1000 and 4 * seen["prefix"] < seen["views"], seen
+    assert seen["preludes"] > 500, seen
 
 
 def test_raw_views_resume_on_their_own_entries_only():
@@ -987,6 +1002,16 @@ MACHINES = {
     "ev-lift": lambda: Ev(NatArena(), LN),
     "ev-t": lambda: Ev(GN, t_arena(NatArena(), 1)),
 }
+# transformers over machines, of the shapes the store monad's pieces take
+DERIVED = {
+    "lift-answer": lambda: LiftF(NatFn(lambda n: n + 1)),
+    "lift-ev": lambda: LiftF(Ev(NatArena(), LN)),
+    "tensor-answer-ev": lambda: TensorOf(identity(LN), Ev(NatArena(), LN)),
+    "tensor-drf-answer": lambda: TensorOf(DrfStrategy(NAT, 1), identity(NatArena())),
+    "lift-tensor": lambda: LiftF(TensorOf(identity(LN), NatFn(lambda n: n + 1))),
+    "lam-up": lambda: LambdaC(Up(Tensor(NatArena(), NatArena()))),
+    "pair-up-up": lambda: Pairing(Up(NatArena()), Up(NatArena())),
+}
 # permutations of the flat sources, asked as tables through their projections
 FLAT_BEFORE = {
     NatArena(): lambda: NatFn(lambda n: 2 - n if n <= 2 else n),
@@ -1008,13 +1033,15 @@ def _neighbours(a: MachineStrategy) -> tuple[Strategy, Strategy]:
     return before, Up(a.board.tgt)
 
 
-@pytest.mark.parametrize("name", sorted(ANSWERS) + sorted(MACHINES))
+@pytest.mark.parametrize("name", sorted(ANSWERS) + sorted(MACHINES) + sorted(DERIVED))
 def test_answer_parts_answer_as_when_asked(name):
-    """An Answer or other machine part answers from the interaction as it
-    answers when a chain asks it through its projection: the depth-8 tables
-    of the chains with it at either end and in the middle are those of the
-    chains with it hidden behind a forwarding strategy."""
-    a = {**ANSWERS, **MACHINES}[name]()
+    """An Answer, other machine or transformer over machines answers from
+    the interaction as it answers when a chain asks it through its
+    projection: the depth-8 tables of the chains with it at either end and
+    in the middle are those of the chains with it hidden behind a
+    forwarding strategy."""
+    a = {**ANSWERS, **MACHINES, **DERIVED}[name]()
+    assert a.horizon is not None
     before, after = _neighbours(a)
     sizes = []
     for shape in ((a, after), (before, a), (before, a, after)):
@@ -1047,18 +1074,60 @@ def test_chains_answer_for_their_machine_parts(monkeypatch):
     monkeypatch.setattr(ChainStrategy, "_answer", staticmethod(counted_answer))
     for build in transformer_zoo().values():
         viewfunction(build(), 8, GOLD)
-    for build in [*ANSWERS.values(), *MACHINES.values()]:
+    builds = [*ANSWERS.values(), *MACHINES.values(), *DERIVED.values()]
+    for build in builds:
         a = build()
         viewfunction(ChainStrategy([*_neighbours(a)[:1], a, Up(a.board.tgt)]), 8, GOLD)
-    horizons = {type(build()) for build in [*ANSWERS.values(), *MACHINES.values()]}
+    horizons = {type(build()) for build in builds}
     assert seen["asked"] == 0 and seen["answered"] == horizons, seen
+
+
+def test_transformer_over_a_non_machine_is_asked(monkeypatch):
+    """A transformer with an inner strategy that has no horizon has none
+    either, and a chain asks it through its projection."""
+    lifted = LiftF(TensorOf(UpdStrategy(NAT, 1), identity(NatArena())))
+    assert lifted.horizon is None and lifted.f.horizon is None
+    respond, asked = Strategy.respond, []
+
+    def counted_respond(self, view):
+        asked.append(self)
+        return respond(self, view)
+
+    monkeypatch.setattr(Strategy, "respond", counted_respond)
+    assert len(viewfunction(ChainStrategy([identity(lifted.board.src), lifted]), 6, GOLD)) > 0
+    assert lifted in asked
+
+
+def test_machine_replay_takes_the_names_the_view_chose():
+    """A chain renames the name NewName introduces when the interaction
+    already holds it: the projection to y puts only y in NewName's P-view,
+    so it picks x's index.  Replaying that step for a later O-move within
+    the tensor's horizon takes the chain's name, and the tables are those
+    of the chain that asks the tensor."""
+    N = NatArena()
+    t = TensorOf(NewName((NAT,), NAT, LN), Dn(N))
+    p = TensorOf(TensorOf(NameListProj((1,), Names((NAT, NAT))), identity(LN)),
+                 identity(Lift(LN)))
+    for parts in ([p, t], [p, t, Up(t.board.tgt)]):
+        hidden = [Forward(x) if x is t else x for x in parts]
+        direct = viewfunction(ChainStrategy(parts), 8, GOLD)
+        assert direct.table == viewfunction(ChainStrategy(hidden), 8, GOLD).table
+        assert len(direct) > 0
 
 
 def test_machines_answer_within_their_horizon(monkeypatch):
     """No machine's prelude answers at a P-view index past its horizon, over
     the transformer zoo and each machine alone at depth 10, and each one
-    answers at its horizon."""
-    reached = {}
+    answers at its horizon.  The same holds of the horizon each transformer
+    over machines derives, in a chain before Up."""
+    reached, derived, zoned = {}, {}, ZonedTransform.prelude
+
+    def derived_prelude(self, view, i):
+        out = zoned(self, view, i)
+        if out is not None:
+            assert i <= self.horizon, (self.name, i, view.pretty())
+            derived[self] = max(derived.get(self, 0), i)
+        return out
 
     def wrapped(cls, prelude):
         def run(self, view, i):
@@ -1076,9 +1145,14 @@ def test_machines_answer_within_their_horizon(monkeypatch):
     for cls in horizons:
         monkeypatch.setattr(cls, "prelude", wrapped(cls, vars(cls)["prelude"]))
     monkeypatch.setattr(model, "_DEN_CACHE", {})
+    monkeypatch.setattr(ZonedTransform, "prelude", derived_prelude)
     for build in [*transformer_zoo().values(), *ANSWERS.values(), *MACHINES.values()]:
         viewfunction(build(), 10, GOLD)
     assert reached == {cls: cls.horizon for cls in horizons}, reached
+    for name, build in DERIVED.items():
+        d = build()
+        viewfunction(ChainStrategy([d, Up(d.board.tgt)]), 10, GOLD)
+        assert derived[d] == d.horizon, (name, derived[d], d.horizon)
 
 
 def test_ev_is_lambda_inverse_of_the_identity():
